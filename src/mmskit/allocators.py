@@ -2,9 +2,15 @@
 
 All allocators operate on an ordered, normalized, irreducible instance and
 hand every agent a bundle she values at least `alpha` (exactly, in rational
-arithmetic). Bags are seeded with pairs {k, 2n-k+1} of one high- and one
-low-ranked good, or triples {k, 2n-k+1, 2n+k} in the second allocator, and
-grown with unbagged goods until somebody clears the threshold.
+arithmetic). One engine, `_award_or_grow`, holds the bag-filling policy: a
+bag some waiting agent values at the threshold is awarded at once (priority
+class first, then the lowest index); otherwise the next unbagged good joins
+the lowest-index open bag. `bag_fill` and `approx_mms1` run it on bags seeded
+with pairs {k, 2n-k+1} of one high- and one low-ranked good. `approx_mms2`
+runs it on the pair bags with nothing to add, so it only awards, applies
+reductions to the rest, and then runs it on triple-seeded bags
+{k, 2n-k+1, 2n+k} one bag at a time: bag k grows until it is awarded before
+bag k+1 is looked at.
 """
 
 from __future__ import annotations
@@ -18,9 +24,12 @@ from .transforms import (
     OrderMap,
     ReductionTrace,
     RuleId,
-    rule_counts_from_trace,
+    first_rule,
     lift_allocation,
+    pick_recipient,
+    restrict,
     rule_applicable,
+    rule_counts_from_trace,
     take_rule_award,
     to_delta_oni,
 )
@@ -54,13 +63,17 @@ class BagState:
     pool: list[int]
     satisfied: dict[int, Bundle]
 
-    def check_partition(self, goods: set[int]) -> None:
+    def held(self) -> list[int]:
         held: list[int] = []
         for b in self.bags.values():
             held.extend(b)
         held.extend(self.pool)
         for b in self.satisfied.values():
             held.extend(b)
+        return held
+
+    def check_partition(self, goods: set[int]) -> None:
+        held = self.held()
         if len(held) != len(set(held)) or set(held) != goods:
             raise ContractViolation("bag state does not partition the good set")
 
@@ -105,9 +118,52 @@ def classify_agents(inst: Instance, delta: Fraction) -> AgentClassification:
     )
 
 
-def _pick_recipient(eligible: list[int], priority: frozenset[int]) -> int:
-    preferred = [i for i in eligible if i in priority]
-    return preferred[0] if preferred else eligible[0]
+def _award_or_grow(
+    inst: Instance,
+    alpha: Fraction,
+    state: BagState,
+    waiting: set[int],
+    priority: frozenset[int],
+    audit: list | None,
+) -> None:
+    """Run the bag-filling policy until every waiting agent is served or no
+    move is left.
+
+    Awards win over growth: the lowest-index open bag some waiting agent
+    values at least alpha goes to the lowest-index such agent, priority
+    members first. Otherwise the first pool good joins the lowest-index open
+    bag. With neither move possible the loop stops, and the caller decides
+    whether that is a failure. Every move must keep the goods the state
+    started with partitioned.
+    """
+    goods = set(state.held())
+    while waiting and state.bags:
+        award = None
+        for k in sorted(state.bags):
+            eligible = [i for i in sorted(waiting) if value(inst, i, state.bags[k]) >= alpha]
+            if eligible:
+                award = (k, eligible)
+                break
+        if award is not None:
+            k, eligible = award
+            agent = pick_recipient(eligible, priority)
+            bundle = Bundle.of(state.bags.pop(k))
+            state.satisfied[agent] = bundle
+            waiting.discard(agent)
+            if audit is not None:
+                audit.append(
+                    {
+                        "bag": bundle,
+                        "recipient": agent,
+                        "eligible": tuple(eligible),
+                        "eligible_priority": tuple(i for i in eligible if i in priority),
+                    }
+                )
+        elif state.pool:
+            state.bags[min(state.bags)].append(state.pool.pop(0))
+        else:
+            return
+        state.check_partition(goods)
 
 
 def _fill_b_bags(
@@ -116,13 +172,10 @@ def _fill_b_bags(
     priority: frozenset[int],
     audit: list | None = None,
 ) -> Allocation:
-    """Award-or-grow loop over the pair-seeded bags.
+    """Bag filling over the pair-seeded bags, grown from the goods past 2n.
 
-    Awards always take precedence: the lowest-index open bag some waiting
-    agent values at least alpha goes to that agent (priority members first,
-    then lowest index). Otherwise the lowest-index pool good joins the
-    lowest-index open bag. Runs out of pool goods only on inputs breaking the
-    allocator's preconditions, and then fails loudly with its state attached.
+    Runs out of pool goods only on inputs breaking the allocator's
+    preconditions, and then fails loudly with its state attached.
     """
     n, m = inst.n, inst.m
     if n == 0:
@@ -138,39 +191,12 @@ def _fill_b_bags(
         satisfied={},
     )
     waiting = set(range(1, n + 1))
-    all_goods = set(range(1, m + 1))
-
-    while waiting:
-        award = None
-        for k in sorted(state.bags):
-            eligible = [i for i in sorted(waiting) if value(inst, i, state.bags[k]) >= alpha]
-            if eligible:
-                award = (k, _pick_recipient(eligible, priority), eligible)
-                break
-        if award is not None:
-            k, agent, eligible = award
-            bundle = Bundle.of(state.bags.pop(k))
-            state.satisfied[agent] = bundle
-            waiting.discard(agent)
-            if audit is not None:
-                audit.append(
-                    {
-                        "bag": bundle,
-                        "recipient": agent,
-                        "eligible": tuple(eligible),
-                        "eligible_priority": tuple(i for i in eligible if i in priority),
-                    }
-                )
-        else:
-            if not state.pool:
-                raise GuaranteeViolation(
-                    "bag filling ran out of goods with agents unsatisfied",
-                    state.dump(alpha, waiting),
-                )
-            g = state.pool.pop(0)
-            state.bags[min(state.bags)].append(g)
-        state.check_partition(all_goods)
-
+    _award_or_grow(inst, alpha, state, waiting, priority, audit)
+    if waiting:
+        raise GuaranteeViolation(
+            "bag filling ran out of goods with agents unsatisfied",
+            state.dump(alpha, waiting),
+        )
     bundles = tuple(state.satisfied[i] for i in range(1, n + 1))
     return Allocation(bundles=bundles, unassigned=Bundle.of(state.pool))
 
@@ -227,120 +253,61 @@ def _approx_mms2_with_stats(
     priority = frozenset(cls.n1_2 | cls.n2)
     counts = {"R2": 0, "R3": 0, "R5": 0}
 
-    bundles: list[Bundle | None] = [None] * n
-    waiting = set(range(1, n + 1))
-    bags = {k: b_bag_ids(k, n) for k in range(1, n + 1)}
-
     # Stage 1: hand out starting bags already clearing the threshold, whole.
-    while True:
-        award = None
-        for k in sorted(bags):
-            eligible = [i for i in sorted(waiting) if value(inst, i, bags[k]) >= alpha]
-            if eligible:
-                award = (k, _pick_recipient(eligible, priority), eligible)
-                break
-        if award is None:
-            break
-        k, agent, eligible = award
-        bundle = Bundle.of(bags.pop(k))
-        bundles[agent - 1] = bundle
-        waiting.discard(agent)
-        if audit is not None:
-            audit.append(
-                {
-                    "bag": bundle,
-                    "recipient": agent,
-                    "eligible": tuple(eligible),
-                    "eligible_priority": tuple(i for i in eligible if i in priority),
-                }
-            )
+    state = BagState(
+        bags={k: list(b_bag_ids(k, n)) for k in range(1, n + 1)}, pool=[], satisfied={}
+    )
+    waiting = set(range(1, n + 1))
+    _award_or_grow(inst, alpha, state, waiting, priority, audit)
 
-    # Stage 2: reductions on the residual instance. Labels stay in the input
-    # instance's coordinates so awards map straight into the allocation.
-    awarded_goods = {g for b in bundles if b is not None for g in b}
-    keep_goods = [g for g in range(1, m + 1) if g not in awarded_goods]
-    keep_agents = sorted(waiting)
-    work = Instance(
-        n=len(keep_agents),
-        m=len(keep_goods),
-        values=tuple(
-            tuple(inst.values[a - 1][g - 1] for g in keep_goods) for a in keep_agents
-        ),
-        agent_labels=tuple(keep_agents),
-        good_labels=tuple(keep_goods),
+    # Stage 2: reductions on the residual instance. Its labels are positions
+    # of the allocator input, so awards land straight in the allocation.
+    awarded_goods = {g for b in state.satisfied.values() for g in b}
+    work = restrict(
+        Instance(n=n, m=m, values=inst.values),
+        sorted(waiting),
+        (g for g in range(1, m + 1) if g not in awarded_goods),
     )
 
-    def current_priority(w: Instance) -> set[int]:
-        return {pos for pos in range(1, w.n + 1) if w.agent_labels[pos - 1] in priority}
-
-    while work.n > 0:
-        agent = rule_applicable(work, RuleId.R5, alpha, priority=current_priority(work))
-        if agent is None:
+    while True:
+        work_priority = {p for p in range(1, work.n + 1) if work.agent_labels[p - 1] in priority}
+        fired = first_rule(work, (RuleId.R5,), alpha, work_priority)
+        if fired is None:
             break
-        work, removed, label = take_rule_award(work, RuleId.R5, agent, alpha)
-        bundles[label - 1] = removed
-        counts["R5"] += 1
+        rule, agent = fired
+        work, removed, label = take_rule_award(work, rule, agent, alpha)
+        state.satisfied[label] = removed
+        counts[rule.value] += 1
 
-    while work.n > 0:
-        fired = False
-        for rule in (RuleId.R2, RuleId.R3):
-            agent = rule_applicable(work, rule, alpha)
-            if agent is not None:
-                work, removed, label = take_rule_award(work, rule, agent, alpha)
-                bundles[label - 1] = removed
-                counts[rule.value] += 1
-                fired = True
-                break
-        if not fired:
-            break
+    while (fired := first_rule(work, (RuleId.R2, RuleId.R3), alpha)) is not None:
+        rule, agent = fired
+        work, removed, label = take_rule_award(work, rule, agent, alpha)
+        state.satisfied[label] = removed
+        counts[rule.value] += 1
         # The two top goods only ever shrink here, so the pair rule must stay off.
         assert rule_applicable(work, RuleId.R5, alpha) is None
 
-    # Stage 3: triple-seeded bags over what is left, filled from beyond 3n.
+    # Stage 3: triple-seeded bags over what is left, filled one at a time from
+    # beyond 3n. The residual good labels increase with position, so bags and
+    # pool translated to the input's goods keep their order and tie-breaks.
     assert work.n == 0 or rule_applicable(work, RuleId.R5, alpha) is None
     n3, m3 = work.n, work.m
-    cbags = {k: [g for g in c_bag_ids(k, n3) if g <= m3] for k in range(1, n3 + 1)}
-    pool = list(range(3 * n3 + 1, m3 + 1))
-    remaining = set(range(1, n3 + 1))
+    labels = work.good_labels
+    cbags = {k: [labels[g - 1] for g in c_bag_ids(k, n3) if g <= m3] for k in range(1, n3 + 1)}
+    state.pool = [labels[g - 1] for g in range(3 * n3 + 1, m3 + 1)]
+    waiting = set(work.agent_labels)
     for k in range(1, n3 + 1):
-        while True:
-            eligible = [i for i in sorted(remaining) if value(work, i, cbags[k]) >= alpha]
-            if eligible:
-                break
-            if not pool:
-                state = BagState(
-                    bags={j: cbags[j] for j in range(1, n3 + 1) if j >= k},
-                    pool=pool,
-                    satisfied={},
-                )
-                raise GuaranteeViolation(
-                    "triple-bag filling ran out of goods with agents unsatisfied",
-                    state.dump(alpha, {work.agent_labels[i - 1] for i in remaining}),
-                )
-            cbags[k].append(pool.pop(0))
-        pos = _pick_recipient(
-            eligible, frozenset(i for i in remaining if work.agent_labels[i - 1] in priority)
-        )
-        label = work.agent_labels[pos - 1]
-        bundle = Bundle.of(work.good_labels[g - 1] for g in cbags[k])
-        bundles[label - 1] = bundle
-        remaining.discard(pos)
-        if audit is not None:
-            audit.append(
-                {
-                    "bag": bundle,
-                    "recipient": label,
-                    "eligible": tuple(work.agent_labels[i - 1] for i in eligible),
-                    "eligible_priority": tuple(
-                        work.agent_labels[i - 1] for i in eligible
-                        if work.agent_labels[i - 1] in priority
-                    ),
-                }
+        state.bags = {k: cbags.pop(k)}
+        _award_or_grow(inst, alpha, state, waiting, priority, audit)
+        if state.bags:
+            state.bags.update(cbags)
+            raise GuaranteeViolation(
+                "triple-bag filling ran out of goods with agents unsatisfied",
+                state.dump(alpha, waiting),
             )
 
-    leftovers = [work.good_labels[g - 1] for g in pool]
-    assert all(b is not None for b in bundles)
-    alloc = Allocation(bundles=tuple(bundles), unassigned=Bundle.of(leftovers))
+    bundles = tuple(state.satisfied[i] for i in range(1, n + 1))
+    alloc = Allocation(bundles=bundles, unassigned=Bundle.of(state.pool))
     alloc.validate(m)
     return alloc, counts
 

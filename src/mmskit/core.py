@@ -260,6 +260,10 @@ def is_ordered(inst: Instance) -> bool:
 # ...], ...], "unassigned": [good, ...]} with 1-based good ids.
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def instance_to_jsonable(inst: Instance) -> dict:
     return {
         "n": inst.n,
@@ -279,7 +283,7 @@ def instance_from_jsonable(obj) -> Instance:
         n, m, vals = obj["n"], obj["m"], obj["values"]
     except (KeyError, TypeError) as e:
         raise DomainError(f"instance JSON missing field: {e}") from e
-    if not isinstance(n, int) or not isinstance(m, int):
+    if not _is_int(n) or not _is_int(m):
         raise DomainError("n and m must be integers")
     if not isinstance(vals, list) or len(vals) != n:
         raise DomainError("values must be a list of n rows")
@@ -306,11 +310,19 @@ def allocation_to_json(alloc: Allocation) -> str:
     return json.dumps(allocation_to_jsonable(alloc), sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _goods_from_jsonable(goods) -> Bundle:
+    if not isinstance(goods, list) or not all(_is_int(g) for g in goods):
+        raise DomainError(f"bundles and 'unassigned' must be lists of integer good ids, got {goods!r}")
+    return Bundle.of(goods)
+
+
 def allocation_from_jsonable(obj) -> Allocation:
     if not isinstance(obj, dict) or "bundles" not in obj or "unassigned" not in obj:
         raise DomainError("allocation JSON must have 'bundles' and 'unassigned'")
-    bundles = tuple(Bundle.of(b) for b in obj["bundles"])
-    return Allocation(bundles=bundles, unassigned=Bundle.of(obj["unassigned"]))
+    if not isinstance(obj["bundles"], list):
+        raise DomainError("allocation 'bundles' must be a list of bundles")
+    bundles = tuple(_goods_from_jsonable(b) for b in obj["bundles"])
+    return Allocation(bundles=bundles, unassigned=_goods_from_jsonable(obj["unassigned"]))
 
 
 def allocation_from_json(text: str) -> Allocation:

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from typing import Collection, Iterable
 
 from .core import Allocation, Bundle, Instance, rat_to_jsonable, value
 from .errors import ContractViolation, DomainError
@@ -33,6 +34,8 @@ class RuleId(Enum):
     R4 = "R4"
     R5 = "R5"
 
+
+REDUCTION_RULES = (RuleId.R1, RuleId.R2, RuleId.R3, RuleId.R4)
 
 BAG_AWARD = "BagAward"
 
@@ -239,6 +242,14 @@ def _padded_value(inst: Instance, agent: int, ids: tuple[int, ...]) -> Fraction:
     return sum((row[g - 1] for g in ids if g <= inst.m), Fraction(0))
 
 
+def pick_recipient(eligible: list[int], priority: Collection[int]) -> int:
+    """The first agent of `eligible` (ascending) in `priority`, else its first agent."""
+    for i in eligible:
+        if i in priority:
+            return i
+    return eligible[0]
+
+
 def rule_applicable(
     inst: Instance,
     rule: RuleId,
@@ -256,11 +267,34 @@ def rule_applicable(
     eligible = [i for i in range(1, inst.n + 1) if _padded_value(inst, i, ids) >= alpha]
     if not eligible:
         return None
-    if priority:
-        preferred = [i for i in eligible if i in priority]
-        if preferred:
-            return preferred[0]
-    return eligible[0]
+    return pick_recipient(eligible, priority or ())
+
+
+def first_rule(
+    inst: Instance,
+    rules: Iterable[RuleId],
+    alpha: Fraction,
+    priority: frozenset[int] | set[int] | None = None,
+) -> tuple[RuleId, int] | None:
+    """The first of `rules` that some agent triggers at `alpha`, with the agent
+    `rule_applicable` picks for it; None when no rule applies."""
+    for rule in rules:
+        agent = rule_applicable(inst, rule, alpha, priority)
+        if agent is not None:
+            return rule, agent
+    return None
+
+
+def restrict(inst: Instance, agents: Iterable[int], goods: Iterable[int]) -> Instance:
+    """Sub-instance on the listed agent and good indices; rows and columns keep their labels."""
+    agents, goods = list(agents), list(goods)
+    return Instance(
+        n=len(agents),
+        m=len(goods),
+        values=tuple(tuple(inst.values[a - 1][g - 1] for g in goods) for a in agents),
+        agent_labels=tuple(inst.agent_labels[a - 1] for a in agents),
+        good_labels=tuple(inst.good_labels[g - 1] for g in goods),
+    )
 
 
 def _remove(inst: Instance, agent: int, good_ids: tuple[int, ...]) -> tuple[Instance, Bundle, int]:
@@ -270,18 +304,10 @@ def _remove(inst: Instance, agent: int, good_ids: tuple[int, ...]) -> tuple[Inst
     parent instance's label space.
     """
     real = [g for g in good_ids if 1 <= g <= inst.m]
-    keep_goods = [g for g in range(1, inst.m + 1) if g not in set(real)]
-    rows = tuple(
-        tuple(inst.values[i][g - 1] for g in keep_goods)
-        for i in range(inst.n)
-        if i != agent - 1
-    )
-    sub = Instance(
-        n=inst.n - 1,
-        m=len(keep_goods),
-        values=rows,
-        agent_labels=tuple(l for k, l in enumerate(inst.agent_labels) if k != agent - 1),
-        good_labels=tuple(inst.good_labels[g - 1] for g in keep_goods),
+    sub = restrict(
+        inst,
+        (i for i in range(1, inst.n + 1) if i != agent),
+        (g for g in range(1, inst.m + 1) if g not in real),
     )
     removed = Bundle.of(inst.good_labels[g - 1] for g in real)
     return sub, removed, inst.agent_labels[agent - 1]
@@ -357,14 +383,8 @@ def reduce(
                         threshold=Fraction(0),
                     )
                 )
-            keep = [i for i in range(1, cur.n + 1) if i not in set(zero_rows)]
-            cur = Instance(
-                n=len(keep),
-                m=cur.m,
-                values=tuple(cur.values[i - 1] for i in keep),
-                agent_labels=tuple(cur.agent_labels[i - 1] for i in keep),
-                good_labels=cur.good_labels,
-            )
+            keep = [i for i in range(1, cur.n + 1) if i not in zero_rows]
+            cur = restrict(cur, keep, range(1, cur.m + 1))
             # Fewer agents can only raise a share, so one stripping pass suffices;
             # rescale against the shares at the new agent count.
             shares = [mms(cur, i, cur.n, node_budget=node_budget).value for i in range(1, cur.n + 1)]
@@ -382,14 +402,9 @@ def reduce(
             )
 
     threshold = Fraction(3, 4) + eps
-    while cur.n > 0:
-        for rule in (RuleId.R1, RuleId.R2, RuleId.R3, RuleId.R4):
-            agent = rule_applicable(cur, rule, threshold)
-            if agent is not None:
-                cur = apply_rule(cur, rule, agent, threshold, trace)
-                break
-        else:
-            break
+    while (fired := first_rule(cur, REDUCTION_RULES, threshold)) is not None:
+        rule, agent = fired
+        cur = apply_rule(cur, rule, agent, threshold, trace)
     return cur, trace
 
 

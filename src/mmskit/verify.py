@@ -14,7 +14,7 @@ from .core import Allocation, Instance, is_ordered, rat_to_text, value
 from .errors import ContractViolation, DomainError
 from .oracle import mms
 from .allocators import classify_agents
-from .transforms import RuleId, rule_applicable
+from .transforms import REDUCTION_RULES, first_rule
 
 
 @dataclass(frozen=True)
@@ -88,12 +88,10 @@ def check_oni(inst: Instance, delta: Fraction, *, node_budget: int | None = None
             return OniReport(
                 False, f"agent {i} has maximin share {rat_to_text(share)}, expected 1"
             )
-    threshold = Fraction(3, 4) + delta
-    if inst.n > 0:
-        for rule in (RuleId.R1, RuleId.R2, RuleId.R3, RuleId.R4):
-            agent = rule_applicable(inst, rule, threshold)
-            if agent is not None:
-                return OniReport(False, f"{rule.value} applicable to agent {agent}")
+    fired = first_rule(inst, REDUCTION_RULES, Fraction(3, 4) + delta)
+    if fired is not None:
+        rule, agent = fired
+        return OniReport(False, f"{rule.value} applicable to agent {agent}")
     return OniReport(True, None)
 
 
@@ -155,11 +153,7 @@ def check_structural_lemmas(
     violations = list(_pair_bound_violations(inst))
     pair_ok = not violations
 
-    threshold = Fraction(3, 4) + delta
-    irreducible = inst.n == 0 or all(
-        rule_applicable(inst, rule, threshold) is None
-        for rule in (RuleId.R1, RuleId.R2, RuleId.R3, RuleId.R4)
-    )
+    irreducible = first_rule(inst, REDUCTION_RULES, Fraction(3, 4) + delta) is None
     min_goods_ok: bool | None = None
     tail_ok: bool | None = None
     if irreducible:

@@ -120,6 +120,18 @@ class TestBagFill:
         assert set(state) == {"alpha", "bags", "pool", "waiting", "satisfied"}
         assert state["pool"] == []
 
+    def test_triple_bag_exhaustion_state_in_input_ids(self):
+        # agent 1 takes starting bag {1, 6}; the triple bags left for agents 2
+        # and 3 stay below the threshold with no good left to add
+        inst = Instance.from_rows([[Fraction(3, 5)] + [Fraction(1, 4)] * 7] * 3)
+        with pytest.raises(GuaranteeViolation) as exc:
+            approx_mms2(inst, DELTA)
+        state = exc.value.state
+        assert state["bags"] == {"1": [2, 5, 7], "2": [3, 4, 8]}
+        assert state["pool"] == []
+        assert state["waiting"] == [2, 3]
+        assert state["satisfied"] == {"1": [1, 6]}
+
     def test_awards_meet_threshold_exactly(self, rng):
         for _ in range(25):
             n, m = rng.randint(2, 4), rng.randint(12, 16)

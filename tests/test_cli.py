@@ -94,6 +94,19 @@ class TestErrorPaths:
         bad.write_text('{"bundles":[[1,2],[]],"unassigned":[]}')
         assert run(["verify", "-i", inst, "-a", bad, "--alpha", "1"]) == 1
 
+    def test_wrongly_typed_allocation_fields_usage_error(self, tmp_path):
+        inst = write_instance(tmp_path, [[1, 1], [1, 1]])
+        bad = tmp_path / "bad-alloc.json"
+        for text in ('{"bundles":5,"unassigned":[]}', '{"bundles":[[1],[2]],"unassigned":7}'):
+            bad.write_text(text)
+            assert run(["verify", "-i", inst, "-a", bad, "--alpha", "1"]) == 2
+
+    def test_boolean_agent_count_usage_error(self, tmp_path, capsys):
+        inst = tmp_path / "inst.json"
+        inst.write_text('{"n":true,"m":1,"values":[[1]]}')
+        assert run(["mms", "-i", inst]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_budget_exhaustion_exit_three(self, tmp_path):
         inst = write_instance(tmp_path, [[977, 953, 911, 877, 859, 823, 787, 757, 733, 701]])
         assert run(["mms", "-i", inst, "--agent", 1, "-d", 3, "--budget", 3]) == 3

@@ -141,6 +141,22 @@ class TestJson:
         with pytest.raises(DomainError):
             instance_from_json('{"n":2,"m":1,"values":[[1]]}')
 
+    def test_rejects_boolean_counts(self):
+        with pytest.raises(DomainError):
+            instance_from_json('{"n":true,"m":1,"values":[[1]]}')
+        with pytest.raises(DomainError):
+            instance_from_json('{"n":1,"m":false,"values":[[]]}')
+
+    def test_allocation_rejects_wrongly_typed_fields(self):
+        for text in (
+            '{"bundles":5,"unassigned":[]}',
+            '{"bundles":[[1]],"unassigned":7}',
+            '{"bundles":[5],"unassigned":[]}',
+            '{"bundles":[["a",1]],"unassigned":[]}',
+        ):
+            with pytest.raises(DomainError):
+                allocation_from_json(text)
+
     def test_allocation_round_trip(self):
         alloc = Allocation(bundles=(Bundle.of([3, 1]), Bundle()), unassigned=Bundle.of([2]))
         again = allocation_from_json(allocation_to_json(alloc))
