@@ -13,7 +13,6 @@ from .core import (
     Bundle,
     Instance,
     Partition,
-    Rational,
     allocation_from_json,
     allocation_to_json,
     instance_from_json,
@@ -30,12 +29,9 @@ from .errors import (
     MmsKitError,
     OracleBudgetExceeded,
 )
-from .oracle import DEFAULT_NODE_BUDGET, MmsResult, mms, mms_exhaustive
+from .oracle import mms, mms_exhaustive
 from .transforms import (
-    OrderMap,
-    ReductionTrace,
     RuleId,
-    TraceStep,
     apply_rule,
     lift_allocation,
     lift_ordered_allocation,
@@ -48,44 +44,38 @@ from .transforms import (
 from .allocators import (
     ALPHA_MAX,
     DELTA_DEFAULT,
-    AgentClassification,
     SolveInfo,
     approx_mms1,
     approx_mms2,
     bag_fill,
     classify_agents,
     complete_allocation,
-    main_approx_mms,
     solve,
 )
 from .verify import (
-    OniReport,
-    StructuralReport,
     VerificationReport,
     check_alpha_mms,
     check_oni,
     check_reduction_validity,
     check_structural_lemmas,
 )
-from .gen import FAMILIES, GenSpec, default_corpus, generate, write_corpus
+from .gen import generate
 
 __all__ = [
     "__version__",
-    "Allocation", "Bundle", "Instance", "Partition", "Rational",
+    "Allocation", "Bundle", "Instance", "Partition",
     "allocation_from_json", "allocation_to_json",
     "instance_from_json", "instance_to_json",
     "is_ordered", "rat", "value",
     "BoundsError", "ContractViolation", "DomainError",
     "GuaranteeViolation", "MmsKitError", "OracleBudgetExceeded",
-    "DEFAULT_NODE_BUDGET", "MmsResult", "mms", "mms_exhaustive",
-    "OrderMap", "ReductionTrace", "RuleId", "TraceStep",
-    "apply_rule", "lift_allocation", "lift_ordered_allocation",
+    "mms", "mms_exhaustive",
+    "RuleId", "apply_rule", "lift_allocation", "lift_ordered_allocation",
     "normalize", "order", "reduce", "rule_applicable", "to_delta_oni",
-    "ALPHA_MAX", "DELTA_DEFAULT", "AgentClassification", "SolveInfo",
+    "ALPHA_MAX", "DELTA_DEFAULT", "SolveInfo",
     "approx_mms1", "approx_mms2", "bag_fill", "classify_agents",
-    "complete_allocation", "main_approx_mms", "solve",
-    "OniReport", "StructuralReport", "VerificationReport",
-    "check_alpha_mms", "check_oni", "check_reduction_validity",
-    "check_structural_lemmas",
-    "FAMILIES", "GenSpec", "default_corpus", "generate", "write_corpus",
+    "complete_allocation", "solve",
+    "VerificationReport", "check_alpha_mms", "check_oni",
+    "check_reduction_validity", "check_structural_lemmas",
+    "generate",
 ]

@@ -10,7 +10,9 @@ with pairs {k, 2n-k+1} of one high- and one low-ranked good. `approx_mms2`
 runs it on the pair bags with nothing to add, so it only awards, applies
 reductions to the rest, and then runs it on triple-seeded bags
 {k, 2n-k+1, 2n+k} one bag at a time: bag k grows until it is awarded before
-bag k+1 is looked at.
+bag k+1 is looked at; it returns its allocation with the R2/R3/R5 counts.
+
+`solve` is the one driver: reduce, run one of the three allocators, lift.
 """
 
 from __future__ import annotations
@@ -237,12 +239,19 @@ def approx_mms1(
     return _fill_b_bags(inst, Fraction(3, 4) + delta, cls.n1_1, audit)
 
 
-def _approx_mms2_with_stats(
+def approx_mms2(
     inst: Instance,
     delta: Fraction,
     classification: AgentClassification | None = None,
+    *,
     audit: list | None = None,
 ) -> tuple[Allocation, dict[str, int]]:
+    """Allocator for the large-n1_1 case: award starting bags with priority to
+    n1_2 and n2 agents, reduce with the pair rule then the triple/quad rules,
+    and finish by filling triple-seeded bags. Requires delta <= 3/956.
+
+    Returns the allocation and how often each of R2, R3 and R5 fired.
+    """
     if not Fraction(0) <= delta <= DELTA_DEFAULT:
         raise ContractViolation("approx_mms2 requires 0 <= delta <= 3/956")
     cls = classification if classification is not None else classify_agents(inst, delta)
@@ -312,19 +321,6 @@ def _approx_mms2_with_stats(
     return alloc, counts
 
 
-def approx_mms2(
-    inst: Instance,
-    delta: Fraction,
-    classification: AgentClassification | None = None,
-    *,
-    audit: list | None = None,
-) -> Allocation:
-    """Allocator for the large-n1_1 case: award starting bags with priority to
-    n1_2 and n2 agents, reduce with the pair rule then the triple/quad rules,
-    and finish by filling triple-seeded bags. Requires delta <= 3/956."""
-    return _approx_mms2_with_stats(inst, delta, classification, audit)[0]
-
-
 @dataclass(frozen=True)
 class SolveInfo:
     """Diagnostics of one driver run: which allocator ran, how often each
@@ -346,35 +342,41 @@ def solve(
     node_budget: int | None = None,
     audit: list | None = None,
 ) -> tuple[Allocation, SolveInfo]:
-    """End-to-end driver with diagnostics; see `main_approx_mms`."""
+    """Compute an allocation giving every agent at least alpha times her
+    maximin share, for any 0 < alpha <= 3/4 + 3/3836, with diagnostics.
+
+    Above 3/4 the driver builds the irreducible residual instance at
+    eps = alpha - 3/4, classifies agents against `delta`, dispatches on the
+    size of the n1_1 class, and lifts the result; at or below 3/4 it runs
+    plain bag filling on the residual instance at threshold alpha.
+    """
     if alpha <= 0:
         raise DomainError("alpha must be positive")
     if alpha > ALPHA_MAX:
         raise DomainError(
             f"alpha must be at most 3/4 + 3/3836 = {rat_to_text(ALPHA_MAX)}, got {rat_to_text(alpha)}"
         )
-
-    if alpha <= Fraction(3, 4):
-        oni, omap, trace = to_delta_oni(inst, Fraction(0), node_budget=node_budget)
-        inner = _fill_b_bags(oni, alpha, frozenset(), audit)
-        branch = "bagfill"
-        counts: dict[str, int] = {}
-        alpha_inner = alpha
-    else:
-        eps = alpha - Fraction(3, 4)
+    eps = max(alpha - Fraction(3, 4), Fraction(0))
+    if eps > 0:
         if not Fraction(0) < delta <= DELTA_DEFAULT:
             raise DomainError("delta must be in (0, 3/956]")
         if 4 * eps / (1 - 4 * eps) > delta:
             raise DomainError("delta too small for this alpha: need 4*eps/(1-4*eps) <= delta")
-        oni, omap, trace = to_delta_oni(inst, eps, node_budget=node_budget)
+
+    oni, omap, trace = to_delta_oni(inst, eps, node_budget=node_budget)
+    counts: dict[str, int] = {}
+    if eps == 0:
+        inner = bag_fill(oni, alpha, audit=audit)
+        branch = "bagfill"
+        alpha_inner = alpha
+    else:
         cls = classify_agents(oni, delta)
         alpha_inner = Fraction(3, 4) + delta
         if _small_n1_1(cls, oni.n, delta):
             inner = approx_mms1(oni, delta, cls, audit=audit)
             branch = "mms1"
-            counts = {}
         else:
-            inner, counts = _approx_mms2_with_stats(oni, delta, cls, audit)
+            inner, counts = approx_mms2(oni, delta, cls, audit=audit)
             branch = "mms2"
 
     rule_counts = rule_counts_from_trace(trace)
@@ -391,24 +393,6 @@ def solve(
         alpha_inner=alpha_inner,
     )
     return final, info
-
-
-def main_approx_mms(
-    inst: Instance,
-    alpha: Fraction,
-    *,
-    delta: Fraction = DELTA_DEFAULT,
-    node_budget: int | None = None,
-) -> Allocation:
-    """Compute an allocation giving every agent at least alpha times her
-    maximin share, for any 0 < alpha <= 3/4 + 3/3836.
-
-    Above 3/4 the driver builds the irreducible residual instance at
-    eps = alpha - 3/4, classifies agents against `delta`, dispatches on the
-    size of the n1_1 class, and lifts the result; at or below 3/4 it runs
-    plain bag filling on the residual instance at threshold alpha.
-    """
-    return solve(inst, alpha, delta=delta, node_budget=node_budget)[0]
 
 
 def complete_allocation(alloc: Allocation) -> Allocation:

@@ -3,8 +3,9 @@
 Subcommands: gen, mms, reduce, solve, verify, bench. Thresholds are accepted
 only as exact rational text ("3/4", "3/4+3/3836"); float syntax is rejected
 so file outputs stay bit-reproducible. Exit codes: 0 success (and, for
-verify, a passing report), 1 failed verification, 2 usage error, 3 oracle
-budget exceeded, 4 internal guarantee violation (state dump written).
+verify, a passing report), 1 failed verification (for bench: some row did
+not pass), 2 usage error, 3 oracle budget exceeded, 4 internal guarantee
+violation (state dump written).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from pathlib import Path
 from . import __version__
 from .allocators import ALPHA_MAX, DELTA_DEFAULT, complete_allocation, solve
 from .core import (
+    Instance,
     allocation_from_json,
     allocation_to_json,
     instance_from_json,
@@ -29,14 +31,7 @@ from .core import (
     rat,
     rat_to_text,
 )
-from .errors import (
-    BoundsError,
-    ContractViolation,
-    DomainError,
-    GuaranteeViolation,
-    MmsKitError,
-    OracleBudgetExceeded,
-)
+from .errors import DomainError, GuaranteeViolation, MmsKitError, OracleBudgetExceeded
 from .gen import FAMILIES, GenSpec, generate
 from .oracle import DEFAULT_NODE_BUDGET, mms
 from .transforms import to_delta_oni
@@ -139,38 +134,35 @@ def _cmd_verify(args) -> int:
 
 
 def _bench_entry(payload) -> dict:
-    base, entry, alpha_text, delta_text, budget = payload
-    inst = instance_from_json((Path(base) / entry["path"]).read_text(encoding="utf-8"))
-    alpha = rat(alpha_text)
-    start = time.perf_counter()
-    alloc, info = solve(inst, alpha, delta=rat(delta_text), node_budget=budget)
-    elapsed = time.perf_counter() - start
-    report = check_alpha_mms(inst, alloc, alpha, node_budget=budget)
-    ratios = [
-        a.received / a.mms if a.mms else Fraction(1) for a in report.agents
-    ]
+    """One CSV row. A toolkit error on this instance fails the row, not the run:
+    the status names the error, pass is false, and fields not reached stay empty."""
+    base, entry, alpha, delta, budget = payload
     spec = entry.get("spec", {})
-    return {
-        "id": entry["id"],
-        "family": spec.get("family", ""),
-        "seed": spec.get("seed", ""),
-        "n": inst.n,
-        "m": inst.m,
-        "branch": info.branch,
-        "r1": info.rule_counts.get("R1", 0),
-        "r2": info.rule_counts.get("R2", 0),
-        "r3": info.rule_counts.get("R3", 0),
-        "r4": info.rule_counts.get("R4", 0),
-        "r5": info.rule_counts.get("R5", 0),
-        "min_ratio": rat_to_text(min(ratios)) if ratios else "",
-        "agent_ratios": ";".join(rat_to_text(r) for r in ratios),
-        "pass": report.passed,
-        "runtime_s": f"{elapsed:.6f}",
-    }
+    row = dict.fromkeys(_BENCH_FIELDS, "")
+    row.update({"id": entry["id"], "family": spec.get("family", ""), "seed": spec.get("seed", ""),
+                "pass": False})
+    try:
+        inst = instance_from_json((Path(base) / entry["path"]).read_text(encoding="utf-8"))
+        row.update(n=inst.n, m=inst.m)
+        start = time.perf_counter()
+        alloc, info = solve(inst, alpha, delta=delta, node_budget=budget)
+        row["runtime_s"] = f"{time.perf_counter() - start:.6f}"
+        row["branch"] = info.branch
+        row.update({f"r{k}": info.rule_counts.get(f"R{k}", 0) for k in range(1, 6)})
+        report = check_alpha_mms(inst, alloc, alpha, node_budget=budget)
+    except MmsKitError as e:
+        row["status"] = type(e).__name__
+        return row
+    ratios = [a.received / a.mms if a.mms else Fraction(1) for a in report.agents]
+    row["min_ratio"] = rat_to_text(min(ratios)) if ratios else ""
+    row["agent_ratios"] = ";".join(rat_to_text(r) for r in ratios)
+    row["pass"] = report.passed
+    row["status"] = "ok"
+    return row
 
 
 _BENCH_FIELDS = [
-    "id", "family", "seed", "n", "m", "branch",
+    "id", "family", "seed", "n", "m", "status", "branch",
     "r1", "r2", "r3", "r4", "r5",
     "min_ratio", "agent_ratios", "pass", "runtime_s",
 ]
@@ -181,9 +173,10 @@ def _cmd_bench(args) -> int:
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     entries = manifest["entries"]
     budget = _resolve_budget(args)
-    payloads = [
-        (str(manifest_path.parent), e, args.alpha, args.delta, budget) for e in entries
-    ]
+    alpha, delta = rat(args.alpha), rat(args.delta)
+    # Bad thresholds are a usage error once, not a failure on every row.
+    solve(Instance(n=0, m=0, values=()), alpha, delta=delta)
+    payloads = [(str(manifest_path.parent), e, alpha, delta, budget) for e in entries]
     if args.jobs > 1:
         with Pool(args.jobs) as pool:
             rows = pool.map(_bench_entry, payloads)
@@ -202,11 +195,14 @@ def _cmd_bench(args) -> int:
     branches: dict[str, int] = {}
     rules = {f"R{k}": 0 for k in range(1, 6)}
     for row in rows:
+        if row["status"] != "ok":
+            continue
         branches[row["branch"]] = branches.get(row["branch"], 0) + 1
         for k in range(1, 6):
             rules[f"R{k}"] += row[f"r{k}"]
     summary = {
         "instances": len(rows),
+        "failed": sum(row["status"] != "ok" for row in rows),
         "all_pass": all(row["pass"] for row in rows),
         "branches": branches,
         "rules": rules,
@@ -300,10 +296,7 @@ def main(argv=None) -> int:
         )
         print(f"error: {e} (state dump: {dump_path})", file=sys.stderr)
         return 4
-    except (DomainError, ContractViolation, BoundsError, MmsKitError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as e:
+    except (MmsKitError, OSError, KeyError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -15,8 +15,6 @@ from typing import Iterable
 
 from .errors import BoundsError, DomainError
 
-Rational = Fraction
-
 _RATIONAL_TERM = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
@@ -40,7 +38,10 @@ def rat(x: int | str | Fraction) -> Fraction:
         terms = text.split("+")
         if not terms or any(not _RATIONAL_TERM.match(t) for t in terms):
             raise DomainError(f"cannot parse rational from {text!r}")
-        return sum((Fraction(t) for t in terms), Fraction(0))
+        try:
+            return sum((Fraction(t) for t in terms), Fraction(0))
+        except ZeroDivisionError:
+            raise DomainError(f"zero denominator in {text!r}") from None
     raise DomainError(f"cannot parse rational from {x!r}")
 
 
@@ -107,9 +108,6 @@ class Bundle:
 
     def union(self, other: "Bundle | Iterable[int]") -> "Bundle":
         return Bundle.of([*self.goods, *other])
-
-    def is_disjoint(self, other: "Bundle") -> bool:
-        return not set(self.goods) & set(other.goods)
 
 
 @dataclass(frozen=True)
@@ -214,20 +212,12 @@ class Instance:
         mat = tuple(tuple(rat(v) for v in row) for row in rows)
         n = len(mat)
         m = len(mat[0]) if n else 0
-        for v in (x for row in mat for x in row):
-            if v < 0:
-                raise DomainError("values must be nonnegative")
         return Instance(n=n, m=m, values=mat)
 
     def row(self, agent: int) -> tuple[Fraction, ...]:
         if not 1 <= agent <= self.n:
             raise BoundsError(f"agent {agent} out of range [1, {self.n}]")
         return self.values[agent - 1]
-
-    def entry(self, agent: int, good: int) -> Fraction:
-        if not 1 <= good <= self.m:
-            raise BoundsError(f"good {good} out of range [1, {self.m}]")
-        return self.row(agent)[good - 1]
 
     def all_goods(self) -> Bundle:
         return Bundle(_identity(self.m))

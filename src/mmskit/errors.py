@@ -30,6 +30,9 @@ class OracleBudgetExceeded(MmsKitError):
         self.nodes = nodes
         self.budget = budget
 
+    def __reduce__(self):
+        return type(self), (self.nodes, self.budget)
+
 
 class GuaranteeViolation(MmsKitError):
     """Bag filling ran out of goods with agents still unsatisfied.
@@ -42,3 +45,6 @@ class GuaranteeViolation(MmsKitError):
     def __init__(self, message: str, state: dict):
         super().__init__(message)
         self.state = state
+
+    def __reduce__(self):
+        return type(self), (self.args[0], self.state)

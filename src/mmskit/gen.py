@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .core import Instance, instance_to_jsonable
+from .core import Instance, instance_to_json
 from .errors import DomainError
 
 _MASK64 = (1 << 64) - 1
@@ -308,13 +308,8 @@ def write_corpus(specs, directory: str | Path) -> Path:
     directory.mkdir(parents=True, exist_ok=True)
     entries = []
     for idx, spec in enumerate(specs):
-        inst = generate(spec)
         name = f"inst-{idx:04d}.json"
-        path = directory / name
-        path.write_text(
-            json.dumps(instance_to_jsonable(inst), sort_keys=True, separators=(",", ":")) + "\n",
-            encoding="utf-8",
-        )
+        (directory / name).write_text(instance_to_json(generate(spec)), encoding="utf-8")
         entries.append({"id": f"g{idx:04d}", "spec": spec.to_jsonable(), "path": name})
     manifest = directory / "manifest.json"
     manifest.write_text(

@@ -297,39 +297,31 @@ def restrict(inst: Instance, agents: Iterable[int], goods: Iterable[int]) -> Ins
     )
 
 
-def _remove(inst: Instance, agent: int, good_ids: tuple[int, ...]) -> tuple[Instance, Bundle, int]:
-    """Drop one agent and the listed goods (dummies vanish); compact indices.
-
-    Returns the residual instance plus the removed goods and agent in the
-    parent instance's label space.
-    """
-    real = [g for g in good_ids if 1 <= g <= inst.m]
-    sub = restrict(
-        inst,
-        (i for i in range(1, inst.n + 1) if i != agent),
-        (g for g in range(1, inst.m + 1) if g not in real),
-    )
-    removed = Bundle.of(inst.good_labels[g - 1] for g in real)
-    return sub, removed, inst.agent_labels[agent - 1]
-
-
 def take_rule_award(
     inst: Instance,
     rule: RuleId,
     agent: int,
     alpha: Fraction,
 ) -> tuple[Instance, Bundle, int]:
-    """Apply one rule and report what it removed, in the label space.
+    """Apply one rule: drop the agent and the rule's goods (dummies vanish)
+    and compact indices.
 
     The agent must actually satisfy the rule's trigger; the residual instance
-    stays ordered.
+    stays ordered. Returns the residual instance plus the removed goods and
+    agent in the parent instance's label space.
     """
     if not 1 <= agent <= inst.n:
         raise ContractViolation(f"agent {agent} out of range")
     ids = rule_good_ids(rule, inst.n)
     if _padded_value(inst, agent, ids) < alpha:
         raise ContractViolation(f"rule {rule.value} is not applicable to agent {agent} at {alpha}")
-    return _remove(inst, agent, ids)
+    real = [g for g in ids if g <= inst.m]
+    sub = restrict(
+        inst,
+        (i for i in range(1, inst.n + 1) if i != agent),
+        (g for g in range(1, inst.m + 1) if g not in real),
+    )
+    return sub, Bundle.of(inst.good_labels[g - 1] for g in real), inst.agent_labels[agent - 1]
 
 
 def apply_rule(

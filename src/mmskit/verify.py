@@ -1,7 +1,9 @@
 """Oracle-backed verification of allocations and instance predicates.
 
 Every check here recomputes what it needs from scratch with the exact
-oracle; nothing is trusted from the pipeline that produced the input.
+oracle; nothing is trusted from the pipeline that produced the input. Each
+check starts by emptying the oracle's memo, so no share it reads was computed
+by an earlier solve in the same process.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from fractions import Fraction
 
 from .core import Allocation, Instance, is_ordered, rat_to_text, value
 from .errors import ContractViolation, DomainError
-from .oracle import mms
+from .oracle import clear_cache, mms
 from .allocators import classify_agents
 from .transforms import REDUCTION_RULES, first_rule
 
@@ -56,6 +58,7 @@ def check_alpha_mms(
 ) -> VerificationReport:
     """Exactly compare each agent's received value against alpha times her
     maximin share. The allocation must be well-formed over the instance."""
+    clear_cache()
     if alloc.n_agents != inst.n:
         raise DomainError(f"allocation has {alloc.n_agents} agents, instance has {inst.n}")
     alloc.validate(inst.m)
@@ -80,6 +83,7 @@ def check_oni(inst: Instance, delta: Fraction, *, node_budget: int | None = None
     """Is the instance ordered, normalized (oracle-certified maximin share
     exactly 1 per agent), and (3/4 + delta)-irreducible? The first failing
     predicate is named."""
+    clear_cache()
     if not is_ordered(inst):
         return OniReport(False, "not ordered")
     for i in range(1, inst.n + 1):
@@ -140,6 +144,7 @@ def check_structural_lemmas(
     node_budget: int | None = None,
 ) -> StructuralReport:
     """Run the structural checks; preconditions are certified, not trusted."""
+    clear_cache()
     if not is_ordered(inst):
         raise ContractViolation("structural checks require an ordered instance")
     for i in range(1, inst.n + 1):
@@ -191,6 +196,7 @@ def check_reduction_validity(
 
     Surviving rows of `after` must appear in the same order as in `before`.
     """
+    clear_cache()
     if after.n != before.n - 1:
         raise ContractViolation("after-instance must have exactly one fewer agent")
     if not 1 <= removed_agent <= before.n:

@@ -18,7 +18,6 @@ from mmskit import (
     check_alpha_mms,
     classify_agents,
     complete_allocation,
-    main_approx_mms,
     mms,
     solve,
     to_delta_oni,
@@ -26,7 +25,6 @@ from mmskit import (
 )
 from mmskit.allocators import (
     BagState,
-    _approx_mms2_with_stats,
     _fill_b_bags,
     _small_n1_1,
     b_bag_ids,
@@ -211,7 +209,7 @@ class TestApproxMms2:
         inst = oni_of(make_instance([[30, 30, 15, 15, 15, 15]] * 2))
         cls = classify_agents(inst, DELTA)
         assert cls.n1_1 == {1, 2}
-        alloc, counts = _approx_mms2_with_stats(inst, DELTA, cls)
+        alloc, counts = approx_mms2(inst, DELTA, cls)
         assert counts["R5"] == 1
         report = check_alpha_mms(inst, alloc, ALPHA34 + DELTA)
         assert report.passed
@@ -221,7 +219,7 @@ class TestApproxMms2:
         # through rank 2n+1, small tail
         inst = oni_of(make_instance([[30, 15, 15, 15, 15, 8, 7, 4, 4, 4, 3]] * 2))
         cls = classify_agents(inst, DELTA)
-        alloc, counts = _approx_mms2_with_stats(inst, DELTA, cls)
+        alloc, counts = approx_mms2(inst, DELTA, cls)
         assert counts == {"R2": 0, "R3": 0, "R5": 0}
         # first bag is awarded as seeded; the second grew past its seed
         assert len(alloc.bundles[0]) == 3 or len(alloc.bundles[1]) == 3
@@ -241,7 +239,7 @@ class TestApproxMms2:
 class TestMainDriver:
     def test_single_agent_gets_everything_worthwhile(self):
         inst = make_instance([[5, 4, 3]])
-        alloc = main_approx_mms(inst, ALPHA_MAX)
+        alloc = solve(inst, ALPHA_MAX)[0]
         share = mms(inst, 1, 1).value
         assert value(inst, 1, alloc.bundles[0]) >= ALPHA_MAX * share
 
@@ -254,10 +252,10 @@ class TestMainDriver:
     def test_alpha_out_of_range(self):
         inst = make_instance([[1]])
         with pytest.raises(DomainError) as exc:
-            main_approx_mms(inst, Fraction(9, 10))
+            solve(inst, Fraction(9, 10))[0]
         assert "3/4 + 3/3836" in str(exc.value)
         with pytest.raises(DomainError):
-            main_approx_mms(inst, Fraction(0))
+            solve(inst, Fraction(0))[0]
 
     def test_low_alpha_routes_to_plain_fill(self):
         inst = make_instance([[9, 7, 5, 4, 3, 2, 2, 1], [8, 8, 6, 5, 3, 3, 2, 1]])
@@ -291,11 +289,11 @@ class TestMainDriver:
 
     def test_empty_instances(self):
         empty = Instance(n=0, m=0, values=())
-        assert main_approx_mms(empty, ALPHA_MAX) == type(main_approx_mms(empty, ALPHA_MAX))(
+        assert solve(empty, ALPHA_MAX)[0] == type(solve(empty, ALPHA_MAX)[0])(
             bundles=(), unassigned=Bundle()
         )
         goods_only = Instance(n=0, m=3, values=())
-        alloc = main_approx_mms(goods_only, ALPHA_MAX)
+        alloc = solve(goods_only, ALPHA_MAX)[0]
         assert alloc.unassigned == Bundle.of([1, 2, 3])
 
     def test_zero_share_agent_is_fine(self):

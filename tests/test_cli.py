@@ -2,8 +2,12 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import mmskit
 from mmskit import GuaranteeViolation, allocation_from_json
 from mmskit.cli import main
 from mmskit.gen import default_corpus, write_corpus
@@ -133,6 +137,14 @@ class TestErrorPaths:
     def test_missing_input_usage_error(self, tmp_path):
         assert run(["solve", "--alpha", "3/4", "-i", tmp_path / "nope.json"]) == 2
 
+    def test_zero_denominator_usage_error(self, tmp_path, capsys):
+        inst = write_instance(tmp_path, [[1, 1]])
+        for args in (["solve", "--alpha", "1/0", "-i", inst],
+                     ["solve", "--alpha", "3/4", "--delta", "1/0", "-i", inst],
+                     ["reduce", "--epsilon", "1/0", "-i", inst]):
+            assert run(args) == 2
+            assert "zero denominator" in capsys.readouterr().err
+
 
 class TestBench:
     def test_small_corpus_csv_and_summary(self, tmp_path, capsys):
@@ -160,3 +172,40 @@ class TestBench:
             ]
 
         assert strip_runtime(a) == strip_runtime(b)
+
+    def test_failed_row_does_not_end_the_run(self, tmp_path):
+        # the n=1 instance needs no search; the other exceeds a 3-node budget.
+        # The CLI runs in a child process so that a hung worker pool fails the
+        # test by timeout instead of stalling the suite.
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        write_instance(corpus, [[5, 4, 3]], "easy.json")
+        write_instance(corpus, [[977, 953, 911, 877, 859, 823, 787, 757, 733, 701]] * 3,
+                       "hard.json")
+        manifest = corpus / "manifest.json"
+        manifest.write_text(json.dumps({"entries": [
+            {"id": "easy", "path": "easy.json"}, {"id": "hard", "path": "hard.json"}]}))
+        src = str(Path(mmskit.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        for jobs in (1, 2):
+            out_csv = tmp_path / f"bench-{jobs}.csv"
+            done = subprocess.run(
+                [sys.executable, "-m", "mmskit.cli", "bench", "-i", str(manifest), "-o", str(out_csv),
+                 "--budget", "3", "--jobs", str(jobs)],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            assert done.returncode == 1, done.stderr
+            summary = json.loads(done.stdout)
+            assert summary["instances"] == 2 and summary["failed"] == 1
+            assert summary["all_pass"] is False
+            easy, hard = csv.DictReader(out_csv.open())
+            assert (easy["id"], easy["status"], easy["pass"]) == ("easy", "ok", "True")
+            assert easy["min_ratio"] == "1"
+            assert (hard["id"], hard["status"], hard["pass"]) == (
+                "hard", "OracleBudgetExceeded", "False")
+            assert hard["min_ratio"] == hard["agent_ratios"] == ""
+
+    def test_bad_threshold_is_usage_error(self, tmp_path):
+        manifest = write_corpus(default_corpus(1), tmp_path / "corpus")
+        assert run(["bench", "-i", manifest, "--alpha", "1/0"]) == 2
+        assert run(["bench", "-i", manifest, "--alpha", "9/10"]) == 2

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,9 @@ from mmskit import (
     Bundle,
     DomainError,
     BoundsError,
+    GuaranteeViolation,
     Instance,
+    OracleBudgetExceeded,
     Partition,
     instance_from_json,
     instance_to_json,
@@ -37,6 +40,25 @@ class TestRationalParsing:
             rat("0.75")
         with pytest.raises(DomainError):
             rat("3e-1")
+
+    def test_zero_denominator_is_domain_error(self):
+        for text in ("1/0", "0/0", "3/4+1/00", "-2/0"):
+            with pytest.raises(DomainError):
+                rat(text)
+
+
+class TestErrors:
+    def test_budget_error_pickles_with_attributes(self):
+        err = pickle.loads(pickle.dumps(OracleBudgetExceeded(7, 3)))
+        assert type(err) is OracleBudgetExceeded
+        assert (err.nodes, err.budget) == (7, 3)
+        assert str(err) == str(OracleBudgetExceeded(7, 3))
+
+    def test_guarantee_violation_pickles_with_state(self):
+        state = {"alpha": "3/4", "bags": {"1": [1, 4]}, "waiting": [2]}
+        err = pickle.loads(pickle.dumps(GuaranteeViolation("ran out", state)))
+        assert type(err) is GuaranteeViolation
+        assert str(err) == "ran out" and err.state == state
 
 
 class TestValue:

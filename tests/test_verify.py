@@ -14,8 +14,10 @@ from mmskit import (
     check_oni,
     check_reduction_validity,
     check_structural_lemmas,
+    solve,
     to_delta_oni,
 )
+from mmskit import oracle
 from mmskit.verify import _pair_bound_violations
 
 from conftest import make_instance
@@ -29,6 +31,20 @@ class TestCheckAlphaMms:
         inst = make_instance([[3, 2, 1]])
         alloc = Allocation(bundles=(Bundle.of([1, 2, 3]),))
         assert check_alpha_mms(inst, alloc, Fraction(1)).passed
+
+    def test_shares_are_searched_afresh_after_solve(self, monkeypatch):
+        inst = make_instance([[9, 7, 5, 4, 3, 2, 2, 1], [8, 8, 6, 5, 3, 3, 2, 1]])
+        alloc, _ = solve(inst, Fraction(3, 4))
+        search = oracle._search
+        searches = []
+
+        def counted(*args):
+            searches.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(oracle, "_search", counted)
+        assert check_alpha_mms(inst, alloc, Fraction(3, 4)).passed
+        assert len(searches) == inst.n
 
     def test_starved_agent_fails(self):
         inst = make_instance([[1, 1], [1, 1]])
