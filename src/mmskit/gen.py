@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 from .core import Instance, instance_to_json
@@ -143,25 +144,25 @@ def _compose(rng: SplitMix64, total: int, lo: int, hi: int) -> list[int]:
     return parts
 
 
-def _uniform_rows(rng, spec) -> list[list[int]]:
+def _uniform_rows(rng, spec) -> tuple[int, list[list[int]]]:
     # Draws: n, m, then values row-major in [0, grid].
     n, m = _draw_nm(rng, spec)
-    return [[rng.randint(0, spec.grid) for _ in range(m)] for _ in range(n)]
+    return m, [[rng.randint(0, spec.grid) for _ in range(m)] for _ in range(n)]
 
 
-def _correlated_rows(rng, spec) -> list[list[int]]:
+def _correlated_rows(rng, spec) -> tuple[int, list[list[int]]]:
     # Draws: n, m, a base row, then per-agent noise row-major. Agents mostly
     # agree on rankings, which stresses the tie-heavy paths of the pipeline.
     n, m = _draw_nm(rng, spec)
     base = [rng.randint(0, spec.grid) for _ in range(m)]
     amp = max(1, spec.grid // 8)
-    return [
+    return m, [
         [min(spec.grid, max(0, base[j] + rng.randint(-amp, amp))) for j in range(m)]
         for _ in range(n)
     ]
 
 
-def _heavy_pairs_plain(rng, spec) -> list[list[int]]:
+def _heavy_pairs_plain(rng, spec) -> tuple[int, list[list[int]]]:
     # About n+1 goods per agent near two thirds of the grid plus a light
     # tail; the reduction rules chew through these, exercising award chains.
     n, m = _draw_nm(rng, spec)
@@ -175,10 +176,10 @@ def _heavy_pairs_plain(rng, spec) -> list[list[int]]:
         row = [rng.randint(lo, hi) for _ in range(heavy_count)]
         row.extend(rng.randint(0, light_hi) for _ in range(m - heavy_count))
         rows.append(row)
-    return rows
+    return m, rows
 
 
-def _heavy_pairs_structured(rng, spec, shape: tuple[int, int]) -> list[list[int]]:
+def _heavy_pairs_structured(rng, spec, shape: tuple[int, int]) -> tuple[int, list[list[int]]]:
     # Exact big-bag shape at unit scale 60f: t bundles {41, smalls summing 19}
     # and n-t bundles {20, 20, 20}. Each starting bag pairing a 41 with a 20
     # is worth 61/60 of the share, yet no reduction rule reaches 3/4 + eps.
@@ -191,10 +192,10 @@ def _heavy_pairs_structured(rng, spec, shape: tuple[int, int]) -> list[list[int]
         else:
             parts = [4, 4, 4, 4, 3]
         values.extend(p * f for p in parts)
-    return [rng.shuffle(list(values)) for _ in range(n)]
+    return len(values), [rng.shuffle(list(values)) for _ in range(n)]
 
 
-def _heavy_pairs_rows(rng, spec) -> list[list[int]]:
+def _heavy_pairs_rows(rng, spec) -> tuple[int, list[list[int]]]:
     # Draws: variant in {0,1,2}; variants 0-1 pick a structured shape when
     # the grid and ranges allow it, else fall back to the plain pattern.
     variant = rng.below(3)
@@ -207,21 +208,21 @@ def _heavy_pairs_rows(rng, spec) -> list[list[int]]:
         # (2,1) good count varies with the small-part composition; recheck after build.
         if shapes:
             shape = shapes[rng.below(len(shapes))]
-            rows = _heavy_pairs_structured(rng, spec, shape)
-            if _fits_m(spec, len(rows[0])):
-                return rows
+            m, rows = _heavy_pairs_structured(rng, spec, shape)
+            if _fits_m(spec, m):
+                return m, rows
     return _heavy_pairs_plain(rng, spec)
 
 
-def _heavy_singles_plain(rng, spec) -> list[list[int]]:
+def _heavy_singles_plain(rng, spec) -> tuple[int, list[list[int]]]:
     # Mid-weight goods throughout, drawn in [grid/4, grid/2].
     n, m = _draw_nm(rng, spec)
     lo = max(1, spec.grid // 4)
     hi = max(lo, spec.grid // 2)
-    return [[rng.randint(lo, hi) for _ in range(m)] for _ in range(n)]
+    return m, [[rng.randint(lo, hi) for _ in range(m)] for _ in range(n)]
 
 
-def _heavy_singles_halves(rng, spec, n: int) -> list[list[int]]:
+def _heavy_singles_halves(rng, spec, n: int) -> tuple[int, list[list[int]]]:
     # Exact halves-and-quarters shape: bundles {H,H}, {H,Q,Q}, {Q,Q,Q,Q} with
     # H = 2Q. Every agent keeps a quarter at rank 2n+1, no starting bag
     # exceeds a share, and the pair rule fires on the leftover halves.
@@ -231,10 +232,10 @@ def _heavy_singles_halves(rng, spec, n: int) -> list[list[int]]:
     b = k - 2 * c
     a = n - b - c
     values = [2 * q] * (2 * a + b) + [q] * (2 * b + 4 * c)
-    return [rng.shuffle(list(values)) for _ in range(n)]
+    return len(values), [rng.shuffle(list(values)) for _ in range(n)]
 
 
-def _heavy_singles_tail(rng, spec, n: int) -> list[list[int]]:
+def _heavy_singles_tail(rng, spec, n: int) -> tuple[int, list[list[int]]]:
     # Exact triple-bag shape at unit scale 60f: one half-good, quarters
     # through rank 2n+1, and a small tail; nothing reduces, so the second
     # allocator reaches its bag-growing phase.
@@ -245,24 +246,24 @@ def _heavy_singles_tail(rng, spec, n: int) -> list[list[int]]:
     else:
         smalls = _compose(rng, 60, 6, 8)
     values.extend(p * f for p in smalls)
-    return [rng.shuffle(list(values)) for _ in range(n)]
+    return len(values), [rng.shuffle(list(values)) for _ in range(n)]
 
 
-def _heavy_singles_rows(rng, spec) -> list[list[int]]:
+def _heavy_singles_rows(rng, spec) -> tuple[int, list[list[int]]]:
     # Draws: n, m (m unused by structured shapes), variant in {0..3}:
     # 0-1 halves-and-quarters, 2 small-tail, 3 plain mid-weight draws.
     n_lo, n_hi = spec.n_range
     variant = rng.below(4)
     if variant < 2 and n_hi >= 2 and spec.grid >= 2:
         n = rng.randint(max(2, n_lo), n_hi)
-        rows = _heavy_singles_halves(rng, spec, n)
-        if _fits_m(spec, len(rows[0])):
-            return rows
+        m, rows = _heavy_singles_halves(rng, spec, n)
+        if _fits_m(spec, m):
+            return m, rows
     elif variant == 2 and n_hi >= 2 and n_lo <= 3 and spec.grid >= 30:
         n = rng.randint(max(2, n_lo), min(3, n_hi))
-        rows = _heavy_singles_tail(rng, spec, n)
-        if _fits_m(spec, len(rows[0])):
-            return rows
+        m, rows = _heavy_singles_tail(rng, spec, n)
+        if _fits_m(spec, m):
+            return m, rows
     return _heavy_singles_plain(rng, spec)
 
 
@@ -275,9 +276,12 @@ _FAMILY_BUILDERS = {
 
 
 def generate(spec: GenSpec) -> Instance:
-    """Generate the instance a spec describes; values are integers <= grid."""
+    """Generate the instance a spec describes; values are integers <= grid.
+
+    The instance keeps the good count the family drew, also with no agents."""
     rng = SplitMix64(spec.seed)
-    return Instance.from_rows(_FAMILY_BUILDERS[spec.family](rng, spec))
+    m, rows = _FAMILY_BUILDERS[spec.family](rng, spec)
+    return Instance(n=len(rows), m=m, values=[[Fraction(v) for v in row] for row in rows])
 
 
 _GRID_CYCLE = (100, 100, 50, 5)

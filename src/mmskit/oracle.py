@@ -2,16 +2,20 @@
 
 `mms` certifies the exact optimum of max-over-partitions min-bundle-value
 with a depth-first search over bundle assignments; `mms_exhaustive` checks it
-by enumerating every assignment vector. Both are deterministic functions of
-their inputs, and both are exact: values are scaled to integers through the
-least common denominator, searched in arbitrary-precision arithmetic, and
-scaled back.
+by enumerating every assignment vector. The enumeration builds the per-bundle
+loads of all assignments of the trailing goods as one outer-sum table and
+adds each assignment of the leading goods to it as a column (numpy, with
+int64 loads below 2^62 and Python integers above). Both are deterministic
+functions of their inputs, and both are exact: values are scaled to integers
+through the least common denominator, searched in arbitrary-precision
+arithmetic, and scaled back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import lcm
 
 from .core import Bundle, Instance, Partition
@@ -255,17 +259,10 @@ def mms_exhaustive(
     vals = [row[g - 1] for g in ids]
     weights, denom = _scale_to_ints(vals)
 
-    if s == 0:
-        return MmsResult(Fraction(0), Partition(tuple(Bundle() for _ in range(d))))
-
     total_vecs = d**s
     if total_vecs > _EXHAUSTIVE_VECTOR_CAP:
         raise DomainError(f"enumeration of {total_vecs} assignment vectors exceeds the cap")
-
-    if sum(weights) < 2**62 and total_vecs > 1:
-        best, best_k = _enumerate_numpy(weights, d, total_vecs)
-    else:
-        best, best_k = _enumerate_python(weights, d, total_vecs)
+    best, best_k = _enumerate(weights, d)
 
     bundles: list[list[int]] = [[] for _ in range(d)]
     k = best_k
@@ -276,42 +273,32 @@ def mms_exhaustive(
     return MmsResult(value=Fraction(best, denom), witness=witness)
 
 
-def _enumerate_numpy(weights: list[int], d: int, total: int) -> tuple[int, int]:
+def _enumerate(weights: list[int], d: int) -> tuple[int, int]:
+    """Best min-bundle load over all d^s assignment vectors, and its first index.
+
+    The loads of every assignment of the last r goods form a (d, d^r) table,
+    built as outer sums; each assignment of the leading goods adds its loads
+    as a column. int64 holds every load when the total is below 2^62, Python
+    ints (object dtype) beyond that.
+    """
     import numpy as np  # only this test reference needs numpy; solve and verify do not
 
     s = len(weights)
-    w = np.asarray(weights, dtype=np.int64)
-    best = -1
-    best_k = 0
-    place = [d ** (s - 1 - t) for t in range(s)]
-    for lo in range(0, total, _NUMPY_CHUNK):
-        hi = min(lo + _NUMPY_CHUNK, total)
-        idx = np.arange(lo, hi, dtype=np.int64)
-        loads = np.zeros((hi - lo, d), dtype=np.int64)
-        rows = np.arange(hi - lo)
-        for t in range(s):
-            dig = (idx // place[t]) % d
-            loads[rows, dig] += w[t]
-        mins = loads.min(axis=1)
-        k = int(np.argmax(mins))
-        if int(mins[k]) > best:
-            best = int(mins[k])
-            best_k = lo + k
-    return best, best_k
-
-
-def _enumerate_python(weights: list[int], d: int, total: int) -> tuple[int, int]:
-    s = len(weights)
-    best = -1
-    best_k = 0
-    for k in range(total):
+    dtype = np.int64 if sum(weights) < 2**62 else object
+    r = s
+    while d**r > _NUMPY_CHUNK:
+        r -= 1
+    eye = np.eye(d, dtype=dtype)
+    tail = np.zeros((d, 1), dtype=dtype)
+    for w in weights[s - r :]:
+        tail = (tail[:, :, None] + w * eye[:, None, :]).reshape(d, -1)
+    best, best_k = -1, 0
+    for p, head in enumerate(product(range(d), repeat=s - r)):
         loads = [0] * d
-        x = k
-        for t in range(s - 1, -1, -1):
-            loads[x % d] += weights[t]
-            x //= d
-        v = min(loads)
-        if v > best:
-            best = v
-            best_k = k
+        for w, j in zip(weights, head):
+            loads[j] += w
+        mins = (tail + np.array(loads, dtype=dtype)[:, None]).min(axis=0)
+        k = int(np.argmax(mins))
+        if mins[k] > best:
+            best, best_k = int(mins[k]), p * tail.shape[1] + k
     return best, best_k

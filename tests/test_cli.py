@@ -38,6 +38,12 @@ class TestGenSolveVerifyPipeline:
         assert code == 0
         assert json.loads(report.read_text())["pass"] is True
 
+    def test_gen_zero_agents_keeps_good_count(self, tmp_path):
+        inst = tmp_path / "inst.json"
+        assert run(["gen", "--seed", 1, "--n", 0, "--m", 3, "-o", inst]) == 0
+        assert json.loads(inst.read_text()) == {"m": 3, "n": 0, "values": []}
+        assert mmskit.instance_from_json(inst.read_text()).m == 3
+
     def test_complete_flag_empties_pool(self, tmp_path):
         inst = write_instance(tmp_path, [[9, 7, 5, 4, 3, 2, 2, 1], [8, 8, 6, 5, 3, 3, 2, 1]])
         out = tmp_path / "alloc.json"

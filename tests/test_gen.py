@@ -87,6 +87,11 @@ class TestGenerate:
         with pytest.raises(DomainError):
             GenSpec(seed=1, n_range=(1, 2), m_range=(2, 4), family="uniform", grid=0)
 
+    def test_zero_agents_keep_good_count(self):
+        for family in FAMILIES:
+            inst = generate(spec_for(family, seed=1, n=(0, 0), m=(3, 3)))
+            assert (inst.n, inst.m, inst.values) == (0, 3, ()), family
+
     def test_spec_json_round_trip(self):
         spec = spec_for("correlated", seed=7)
         assert GenSpec.from_jsonable(spec.to_jsonable()) == spec

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
+from math import lcm
 
 import pytest
 
@@ -8,6 +10,7 @@ from mmskit import (
     Bundle,
     DomainError,
     OracleBudgetExceeded,
+    Partition,
     mms,
     mms_exhaustive,
     value,
@@ -147,6 +150,82 @@ class TestOracleEquivalence:
             b = mms_exhaustive(inst, 1, d, subset)
             assert a.value == b.value
             assert_valid_witness(inst, 1, d, subset.goods, a)
+
+
+def first_maximiser(inst, agent, d, ids):
+    """Brute force in the reference's documented order: the lowest good id is
+    the most significant digit, and the first vector reaching the optimum wins."""
+    row = inst.row(agent)
+    best, best_vec = None, None
+    for vec in product(range(d), repeat=len(ids)):
+        loads = [Fraction(0)] * d
+        for g, j in zip(ids, vec):
+            loads[j] += row[g - 1]
+        if best is None or min(loads) > best:
+            best, best_vec = min(loads), vec
+    bundles = (Bundle.of(g for g, j in zip(ids, best_vec) if j == b) for b in range(d))
+    return best, Partition(tuple(bundles))
+
+
+class TestExhaustiveBeyondInt64:
+    # Scaled weights summing to 2^62 or more overflow int64 loads, so the
+    # reference must switch to Python integers and still pick the same witness.
+    PRIMES = (2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549, 2147483543)
+
+    def check(self, inst, d, ids):
+        subset = Bundle.of(ids)
+        clear_cache()
+        res = mms_exhaustive(inst, 1, d, subset)
+        assert res.value == mms(inst, 1, d, subset).value
+        assert (res.value, res.witness) == first_maximiser(inst, 1, d, ids)
+
+    def cases(self, rng, rows):
+        big = 0
+        for k, row in enumerate(rows):
+            inst = make_instance([row])
+            m = len(row)
+            goods = list(range(1, m + 1))
+            rng.shuffle(goods)
+            for ids in (goods, goods[: rng.randint(1, m - 1)], []):
+                d = 1 if k % 4 == 0 else rng.randint(2, 4)
+                self.check(inst, d, sorted(ids))
+                vals = [row[g - 1] for g in ids]
+                scale = lcm(*(v.denominator for v in vals)) if vals else 1
+                big += sum(vals) * scale >= 2**62
+        return big
+
+    def test_integers_near_two_to_the_61(self, rng):
+        rows = [[2**61 - rng.below(2**40) for _ in range(rng.randint(3, 7))] for _ in range(12)]
+        rows.append([2**61] * 5)  # all ties: the first vector in enumeration order wins
+        assert self.cases(rng, rows) >= 13
+
+    def test_fractions_with_large_lcm(self, rng):
+        # Distinct prime denominators near 2^31: any two goods scale past 2^62.
+        rows = []
+        for m in (3, 4, 5, 6, 7, 7):
+            primes = rng.shuffle(list(self.PRIMES))[:m]
+            rows.append([Fraction(p - rng.below(2**20), p) for p in primes])
+        assert self.cases(rng, rows) >= 6
+
+
+class TestPruningCrossCheck:
+    def test_matches_reference_where_probes_are_refuted(self, rng):
+        # d = 4-6 on grids 100 and 20: the optimum usually sits below
+        # total // d, so the binary search must refute probes with the
+        # covering search's pruning rules rather than stop at the first cover.
+        below = cases = 0
+        for d in (4, 5, 6):
+            m_max = max(m for m in range(d + 2, 13) if d**m <= 10**7)
+            for k in range(100):
+                row = [rng.randint(0, 20 if k % 5 == 0 else 100) for _ in range(rng.randint(d + 2, m_max))]
+                inst = make_instance([row])
+                clear_cache()
+                res = mms(inst, 1, d)
+                assert res.value == mms_exhaustive(inst, 1, d).value, (d, row)
+                assert_valid_witness(inst, 1, d, None, res)
+                below += res.value < sum(row) // d
+                cases += 1
+        assert 2 * below >= cases, f"only {below} of {cases} optima sit below total // d"
 
 
 class TestOracleProperties:
