@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Allocation, Bundle, Instance, is_ordered, rat_to_text, value
+from .core import Allocation, Bundle, Instance, is_ordered, partitions, rat_to_text, value
 from .errors import ContractViolation, DomainError, GuaranteeViolation
 from .transforms import (
     OrderMap,
@@ -65,18 +65,12 @@ class BagState:
     pool: list[int]
     satisfied: dict[int, Bundle]
 
-    def held(self) -> list[int]:
-        held: list[int] = []
-        for b in self.bags.values():
-            held.extend(b)
-        held.extend(self.pool)
-        for b in self.satisfied.values():
-            held.extend(b)
-        return held
+    def groups(self) -> tuple:
+        """The bags, the pool and the awarded bundles, which must partition the goods."""
+        return (*self.bags.values(), self.pool, *self.satisfied.values())
 
     def check_partition(self, goods: set[int]) -> None:
-        held = self.held()
-        if len(held) != len(set(held)) or set(held) != goods:
+        if not partitions(self.groups(), goods):
             raise ContractViolation("bag state does not partition the good set")
 
     def dump(self, alpha: Fraction, waiting: set[int]) -> dict:
@@ -138,7 +132,7 @@ def _award_or_grow(
     whether that is a failure. Every move must keep the goods the state
     started with partitioned.
     """
-    goods = set(state.held())
+    goods = set().union(*state.groups())
     while waiting and state.bags:
         award = None
         for k in sorted(state.bags):

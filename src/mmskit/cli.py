@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -26,18 +25,18 @@ from .core import (
     Instance,
     allocation_from_json,
     allocation_to_json,
+    canonical_json,
     instance_from_json,
     instance_to_json,
+    instance_to_jsonable,
     rat,
     rat_to_text,
 )
-from .errors import DomainError, GuaranteeViolation, MmsKitError, OracleBudgetExceeded
+from .errors import GuaranteeViolation, MmsKitError, OracleBudgetExceeded
 from .gen import FAMILIES, GenSpec, generate
 from .oracle import DEFAULT_NODE_BUDGET, mms
 from .transforms import to_delta_oni
 from .verify import check_alpha_mms
-
-BUDGET_ENV = "MMSKIT_BUDGET"
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -47,18 +46,6 @@ def _parse_range(text: str) -> tuple[int, int]:
         return int(lo), int(hi)
     k = int(text)
     return k, k
-
-
-def _resolve_budget(args) -> int:
-    if getattr(args, "budget", None) is not None:
-        return args.budget
-    env = os.environ.get(BUDGET_ENV)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as e:
-            raise DomainError(f"{BUDGET_ENV} must be an integer, got {env!r}") from e
-    return DEFAULT_NODE_BUDGET
 
 
 def _read_instance(path: str):
@@ -88,36 +75,34 @@ def _cmd_gen(args) -> int:
 def _cmd_mms(args) -> int:
     inst = _read_instance(args.input)
     d = args.d if args.d is not None else inst.n
-    res = mms(inst, args.agent, d, node_budget=_resolve_budget(args))
+    res = mms(inst, args.agent, d, node_budget=args.budget)
     out = {
         "agent": args.agent,
         "d": d,
         "value": rat_to_text(res.value),
         "witness": [list(b.goods) for b in res.witness],
     }
-    _emit(json.dumps(out, sort_keys=True, separators=(",", ":")) + "\n", args.output)
+    _emit(canonical_json(out), args.output)
     return 0
 
 
 def _cmd_reduce(args) -> int:
     inst = _read_instance(args.input)
     eps = rat(args.epsilon)
-    oni, omap, trace = to_delta_oni(inst, eps, node_budget=_resolve_budget(args))
+    oni, omap, trace = to_delta_oni(inst, eps, node_budget=args.budget)
     out = {
-        "instance": json.loads(instance_to_json(oni)),
+        "instance": instance_to_jsonable(oni),
         "order_map": [list(p) for p in omap.perms],
         "trace": trace.to_jsonable(),
     }
-    _emit(json.dumps(out, sort_keys=True, separators=(",", ":")) + "\n", args.output)
+    _emit(canonical_json(out), args.output)
     return 0
 
 
 def _cmd_solve(args) -> int:
     inst = _read_instance(args.input)
     alpha = rat(args.alpha)
-    alloc, _info = solve(
-        inst, alpha, delta=rat(args.delta), node_budget=_resolve_budget(args)
-    )
+    alloc, _info = solve(inst, alpha, delta=rat(args.delta), node_budget=args.budget)
     if args.complete:
         alloc = complete_allocation(alloc)
     _emit(allocation_to_json(alloc), args.output)
@@ -128,7 +113,7 @@ def _cmd_verify(args) -> int:
     inst = _read_instance(args.input)
     alloc = allocation_from_json(Path(args.allocation).read_text(encoding="utf-8"))
     alpha = rat(args.alpha)
-    report = check_alpha_mms(inst, alloc, alpha, node_budget=_resolve_budget(args))
+    report = check_alpha_mms(inst, alloc, alpha, node_budget=args.budget)
     _emit(report.to_json(), args.output)
     return 0 if report.passed else 1
 
@@ -172,11 +157,10 @@ def _cmd_bench(args) -> int:
     manifest_path = Path(args.input)
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     entries = manifest["entries"]
-    budget = _resolve_budget(args)
     alpha, delta = rat(args.alpha), rat(args.delta)
     # Bad thresholds are a usage error once, not a failure on every row.
     solve(Instance(n=0, m=0, values=()), alpha, delta=delta)
-    payloads = [(str(manifest_path.parent), e, alpha, delta, budget) for e in entries]
+    payloads = [(str(manifest_path.parent), e, alpha, delta, args.budget) for e in entries]
     if args.jobs > 1:
         with Pool(args.jobs) as pool:
             rows = pool.map(_bench_entry, payloads)
@@ -226,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--budget",
                 type=int,
-                help=f"oracle node budget (default {DEFAULT_NODE_BUDGET}; env {BUDGET_ENV})",
+                help=f"oracle node budget (default {DEFAULT_NODE_BUDGET})",
             )
 
     p = sub.add_parser("gen", help="generate a seeded instance file")

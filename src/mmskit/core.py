@@ -2,16 +2,19 @@
 
 All valuation magnitudes are `fractions.Fraction`; no operation anywhere in
 the toolkit rounds. Agent and good indices are 1-based, with good 1 the most
-valuable good in an ordered instance.
+valuable good in an ordered instance. Three rules used across the toolkit
+live here only: `ranking` (the order of goods in every ordered view),
+`partitions` (the covers-exactly-once check) and `canonical_json` (the bytes
+of every JSON file the toolkit writes).
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import BoundsError, DomainError
 
@@ -76,6 +79,22 @@ def jsonable_to_rat(v) -> Fraction:
     raise DomainError(f"instance values must be integers or 'p/q' strings, got {v!r}")
 
 
+def ranking(row: Sequence[Fraction], goods: Iterable[int]) -> list[int]:
+    """`goods` by non-increasing value in `row`, ties toward the lower good id.
+
+    Every ordered view in the toolkit is built from this one rule. The sort is
+    stable under reverse=True, so equal values keep the ascending id order.
+    """
+    return sorted(sorted(goods), key=lambda g: row[g - 1], reverse=True)
+
+
+def partitions(groups: Iterable[Iterable[int]], ground: Iterable[int]) -> bool:
+    """True iff the groups cover `ground` exactly once: no good twice, none missing or extra."""
+    held = [g for group in groups for g in group]
+    distinct = set(held)
+    return len(held) == len(distinct) and distinct == set(ground)
+
+
 @dataclass(frozen=True)
 class Bundle:
     """A set of good indices (1-based), stored sorted and duplicate-free."""
@@ -122,12 +141,7 @@ class Partition:
 
     def validate(self, ground: Bundle) -> None:
         """Raise unless the bundles partition exactly `ground`."""
-        seen: set[int] = set()
-        total = 0
-        for b in self.bundles:
-            total += len(b)
-            seen.update(b.goods)
-        if total != len(seen) or seen != set(ground.goods):
+        if not partitions(self.bundles, ground):
             raise DomainError("bundles do not partition the ground set")
 
     def __iter__(self):
@@ -154,12 +168,7 @@ class Allocation:
 
     def validate(self, m: int) -> None:
         """Raise unless bundles plus the pool cover [1, m] with no overlaps."""
-        seen: set[int] = set()
-        total = 0
-        for b in (*self.bundles, self.unassigned):
-            total += len(b)
-            seen.update(b.goods)
-        if total != m or seen != set(range(1, m + 1)):
+        if not partitions((*self.bundles, self.unassigned), range(1, m + 1)):
             raise DomainError(f"allocation does not cover [1, {m}] exactly once")
 
 
@@ -262,8 +271,13 @@ def instance_to_jsonable(inst: Instance) -> dict:
     }
 
 
+def canonical_json(obj) -> str:
+    """The one file encoding: sorted keys, no spaces, one trailing newline."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 def instance_to_json(inst: Instance) -> str:
-    return json.dumps(instance_to_jsonable(inst), sort_keys=True, separators=(",", ":")) + "\n"
+    return canonical_json(instance_to_jsonable(inst))
 
 
 def instance_from_jsonable(obj) -> Instance:
@@ -297,7 +311,7 @@ def allocation_to_jsonable(alloc: Allocation) -> dict:
 
 
 def allocation_to_json(alloc: Allocation) -> str:
-    return json.dumps(allocation_to_jsonable(alloc), sort_keys=True, separators=(",", ":")) + "\n"
+    return canonical_json(allocation_to_jsonable(alloc))
 
 
 def _goods_from_jsonable(goods) -> Bundle:

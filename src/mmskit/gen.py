@@ -17,12 +17,11 @@ sharp cliff to fillers below 1/12.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .core import Instance, instance_to_json
+from .core import Instance, canonical_json, instance_to_json
 from .errors import DomainError
 
 _MASK64 = (1 << 64) - 1
@@ -316,8 +315,5 @@ def write_corpus(specs, directory: str | Path) -> Path:
         (directory / name).write_text(instance_to_json(generate(spec)), encoding="utf-8")
         entries.append({"id": f"g{idx:04d}", "spec": spec.to_jsonable(), "path": name})
     manifest = directory / "manifest.json"
-    manifest.write_text(
-        json.dumps({"entries": entries}, sort_keys=True, separators=(",", ":")) + "\n",
-        encoding="utf-8",
-    )
+    manifest.write_text(canonical_json({"entries": entries}), encoding="utf-8")
     return manifest

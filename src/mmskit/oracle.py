@@ -8,28 +8,26 @@ adds each assignment of the leading goods to it as a column (numpy, with
 int64 loads below 2^62 and Python integers above). Both are deterministic
 functions of their inputs, and both are exact: values are scaled to integers
 through the least common denominator, searched in arbitrary-precision
-arithmetic, and scaled back.
+arithmetic, and scaled back. `mms` memoizes its search on the key (scaled
+weights in ranking order, d, node budget), so a memoized share never depends
+on an earlier call's budget; `clear_cache` empties the memo.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import lcm
 
-from .core import Bundle, Instance, Partition
+from .core import Bundle, Instance, Partition, ranking
 from .errors import BoundsError, DomainError, OracleBudgetExceeded
 
 DEFAULT_NODE_BUDGET = 50_000_000
 EXHAUSTIVE_SUBSET_CAP = 12
 _EXHAUSTIVE_VECTOR_CAP = 50_000_000
 _NUMPY_CHUNK = 1 << 17
-
-# Results memoized on the (scaled weight multiset, d) key; MMS depends only on
-# the value multiset, so ordered/unordered variants of a row share one entry.
-_CACHE: dict[tuple, tuple[int, tuple[tuple[int, ...], ...]]] = {}
-_CACHE_MAX = 100_000
 
 
 @dataclass(frozen=True)
@@ -38,10 +36,6 @@ class MmsResult:
 
     value: Fraction
     witness: Partition
-
-
-def clear_cache() -> None:
-    _CACHE.clear()
 
 
 def _resolve_subset(inst: Instance, subset: Bundle | None) -> list[int]:
@@ -154,13 +148,20 @@ def _cover_assignment(nz: list[int], d: int, target: int, budget: _Budget) -> li
     return choice if dfs(0) else None
 
 
-def _search(weights: list[int], d: int, node_budget: int) -> tuple[int, list[list[int]]]:
+@lru_cache(maxsize=100_000)
+def _search(
+    weights: tuple[int, ...], d: int, node_budget: int
+) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """Certified max-min over partitions of `weights` (descending ints) into d parts.
 
-    Returns the optimal scaled value and per-bundle position lists. Binary
+    Returns the optimal scaled value and per-bundle position tuples. Binary
     search over the answer: the largest-first greedy seed is a feasible lower
     bound, total//d an upper bound, and each probe runs the covering search
     to completion, so the final value is certified from both sides.
+
+    Memoized on all three arguments: rows that rank to the same weights share
+    one entry, and a memoized share is exactly what a fresh search with that
+    budget returns (a search over budget raises and stores nothing).
     """
     positions_nz = [t for t, w in enumerate(weights) if w > 0]
     positions_z = [t for t, w in enumerate(weights) if w == 0]
@@ -192,7 +193,10 @@ def _search(weights: list[int], d: int, node_budget: int) -> tuple[int, list[lis
     for t, j in enumerate(best_choice):
         bundles[j].append(positions_nz[t])
     bundles[0].extend(positions_z)
-    return best_val, bundles
+    return best_val, tuple(tuple(b) for b in bundles)
+
+
+clear_cache = _search.cache_clear
 
 
 def mms(
@@ -205,9 +209,9 @@ def mms(
 ) -> MmsResult:
     """Exact d-bundle maximin share of `subset` for one agent, with witness.
 
-    The witness is deterministic: goods are considered in non-increasing value
-    order (ties by good id), bundles are tried lowest index first, and the
-    first partition attaining the optimum is kept. Raises
+    The witness is deterministic: goods are considered in `ranking` order
+    (non-increasing value, ties by good id), bundles are tried lowest index
+    first, and the first partition attaining the optimum is kept. Raises
     OracleBudgetExceeded rather than ever returning an uncertified value.
     """
     if d <= 0:
@@ -216,22 +220,10 @@ def mms(
     ids = _resolve_subset(inst, subset)
     row = inst.row(agent)
 
-    ordered_ids = sorted(ids, key=lambda g: (-row[g - 1], g))
-    vals = [row[g - 1] for g in ordered_ids]
-    weights, denom = _scale_to_ints(vals)
-
-    key = (tuple(weights), d)
-    hit = _CACHE.get(key)
-    if hit is None:
-        scaled_best, bundles = _search(weights, d, budget)
-        frozen = tuple(tuple(b) for b in bundles)
-        if len(_CACHE) >= _CACHE_MAX:
-            _CACHE.clear()
-        _CACHE[key] = (scaled_best, frozen)
-    else:
-        scaled_best, frozen = hit
-
-    witness = Partition(tuple(Bundle.of(ordered_ids[p] for p in b) for b in frozen))
+    ordered_ids = ranking(row, ids)
+    weights, denom = _scale_to_ints([row[g - 1] for g in ordered_ids])
+    scaled_best, bundles = _search(tuple(weights), d, budget)
+    witness = Partition(tuple(Bundle.of(ordered_ids[p] for p in b) for b in bundles))
     return MmsResult(value=Fraction(scaled_best, denom), witness=witness)
 
 

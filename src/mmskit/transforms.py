@@ -15,12 +15,12 @@ slot by slot, most valuable first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from typing import Collection, Iterable
 
-from .core import Allocation, Bundle, Instance, rat_to_jsonable, value
+from .core import Allocation, Bundle, Instance, ranking, rat_to_jsonable, value
 from .errors import ContractViolation, DomainError
 from .oracle import mms
 
@@ -80,23 +80,6 @@ class ReductionTrace:
     steps: list[TraceStep] = field(default_factory=list)
     scaling: dict[int, Fraction] = field(default_factory=dict)
 
-    def removed_agents(self) -> set[int]:
-        return {s.agent for s in self.steps}
-
-    def removed_goods(self) -> set[int]:
-        out: set[int] = set()
-        for s in self.steps:
-            out.update(s.goods)
-        return out
-
-    def surviving_agents(self) -> list[int]:
-        gone = self.removed_agents()
-        return [a for a in range(1, self.n_original + 1) if a not in gone]
-
-    def surviving_goods(self) -> list[int]:
-        gone = self.removed_goods()
-        return [g for g in range(1, self.m_original + 1) if g not in gone]
-
     def to_jsonable(self) -> dict:
         return {
             "n_original": self.n_original,
@@ -125,13 +108,13 @@ def rule_counts_from_trace(trace: ReductionTrace) -> dict[str, int]:
 
 
 def order(inst: Instance) -> tuple[Instance, OrderMap]:
-    """Sort each agent's row non-increasingly; the map records which source
-    good landed in each slot."""
+    """Sort each agent's row by `ranking`; the map records which source good
+    landed in each slot."""
     perms = []
     rows = []
     for i in range(inst.n):
         row = inst.values[i]
-        idx = sorted(range(1, inst.m + 1), key=lambda g: (-row[g - 1], g))
+        idx = ranking(row, range(1, inst.m + 1))
         perms.append(tuple(idx))
         rows.append(tuple(row[g - 1] for g in idx))
     ordered = Instance(n=inst.n, m=inst.m, values=tuple(rows), agent_labels=inst.agent_labels)
@@ -210,13 +193,7 @@ def normalize(inst: Instance, *, node_budget: int | None = None) -> Instance:
             for g in b:
                 new_row[g - 1] = row[g - 1] / bv
         rows.append(tuple(new_row))
-    return Instance(
-        n=inst.n,
-        m=inst.m,
-        values=tuple(rows),
-        agent_labels=inst.agent_labels,
-        good_labels=inst.good_labels,
-    )
+    return replace(inst, values=tuple(rows))
 
 
 def rule_good_ids(rule: RuleId, n: int) -> tuple[int, ...]:
@@ -385,13 +362,7 @@ def reduce(
             for i in range(1, cur.n + 1):
                 trace.scaling[cur.agent_labels[i - 1]] = shares[i - 1]
                 rows.append(tuple(v / shares[i - 1] for v in cur.values[i - 1]))
-            cur = Instance(
-                n=cur.n,
-                m=cur.m,
-                values=tuple(rows),
-                agent_labels=cur.agent_labels,
-                good_labels=cur.good_labels,
-            )
+            cur = replace(cur, values=tuple(rows))
 
     threshold = Fraction(3, 4) + eps
     while (fired := first_rule(cur, REDUCTION_RULES, threshold)) is not None:
@@ -431,8 +402,10 @@ def lift_allocation(
     """
     if original.n != trace.n_original or original.m != trace.m_original:
         raise ContractViolation("original instance does not match the trace dimensions")
-    survivors = trace.surviving_agents()
-    surviving_goods = trace.surviving_goods()
+    gone_agents = {step.agent for step in trace.steps}
+    gone_goods = {g for step in trace.steps for g in step.goods}
+    survivors = [a for a in range(1, trace.n_original + 1) if a not in gone_agents]
+    surviving_goods = [g for g in range(1, trace.m_original + 1) if g not in gone_goods]
     n_in, m_in = len(survivors), len(surviving_goods)
     if inner_alloc.n_agents != n_in:
         raise ContractViolation(

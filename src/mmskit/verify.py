@@ -3,16 +3,16 @@
 Every check here recomputes what it needs from scratch with the exact
 oracle; nothing is trusted from the pipeline that produced the input. Each
 check starts by emptying the oracle's memo, so no share it reads was computed
-by an earlier solve in the same process.
+by an earlier solve in the same process. Reports are written with
+`core.canonical_json`, the encoding of every toolkit file.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Allocation, Instance, is_ordered, rat_to_text, value
+from .core import Allocation, Instance, canonical_json, is_ordered, rat_to_text, value
 from .errors import ContractViolation, DomainError
 from .oracle import clear_cache, mms
 from .allocators import classify_agents
@@ -46,7 +46,7 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_jsonable(), sort_keys=True, separators=(",", ":")) + "\n"
+        return canonical_json(self.to_jsonable())
 
 
 def check_alpha_mms(

@@ -269,6 +269,8 @@ class TestMainDriver:
             solve(inst, ALPHA_MAX, delta=Fraction(1, 100))  # above 3/956
         with pytest.raises(DomainError):
             solve(inst, ALPHA_MAX, delta=Fraction(0))
+        with pytest.raises(DomainError, match="too small"):
+            solve(inst, ALPHA_MAX, delta=Fraction(3, 1000))  # below 4*eps/(1-4*eps) = 3/956
 
     def test_branches_dispatch_and_verify(self, rng):
         seen = set()

@@ -121,11 +121,6 @@ class TestErrorPaths:
         inst = write_instance(tmp_path, [[977, 953, 911, 877, 859, 823, 787, 757, 733, 701]])
         assert run(["mms", "-i", inst, "--agent", 1, "-d", 3, "--budget", 3]) == 3
 
-    def test_budget_env_var(self, tmp_path, monkeypatch):
-        inst = write_instance(tmp_path, [[977, 953, 911, 877, 859, 823, 787, 757, 733, 701]])
-        monkeypatch.setenv("MMSKIT_BUDGET", "3")
-        assert run(["mms", "-i", inst, "--agent", 1, "-d", 3]) == 3
-
     def test_guarantee_violation_exit_four(self, tmp_path, monkeypatch, capsys):
         import mmskit.cli as cli
 

@@ -15,7 +15,7 @@ from mmskit import (
     mms_exhaustive,
     value,
 )
-from mmskit.oracle import clear_cache
+from mmskit.oracle import _search, clear_cache
 
 from conftest import make_instance, random_instance
 
@@ -326,3 +326,20 @@ class TestBudget:
         with pytest.raises(OracleBudgetExceeded) as exc:
             mms(inst, 1, 3, node_budget=2)
         assert exc.value.budget == 2 and exc.value.nodes > 2
+
+    def test_budget_is_part_of_the_memo_key(self):
+        # A share memoized under the default budget must not answer a call
+        # whose own budget is too small to certify it.
+        inst = make_instance([[9, 8, 7, 6, 5, 4, 3, 2, 1]])
+        clear_cache()
+        assert mms(inst, 1, 3).value == 15
+        with pytest.raises(OracleBudgetExceeded) as exc:
+            mms(inst, 1, 3, node_budget=1)
+        assert (exc.value.nodes, exc.value.budget) == (2, 1)
+
+    def test_same_value_multiset_is_searched_once(self):
+        inst = make_instance([[5, 3, 8, 1, 4], [8, 1, 3, 5, 4], [4, 1, 5, 8, 3]])
+        clear_cache()
+        shares = [mms(inst, i, 2).value for i in (1, 2, 3)]
+        assert shares == [10, 10, 10]
+        assert _search.cache_info().misses == 1
