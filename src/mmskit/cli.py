@@ -92,7 +92,7 @@ def _cmd_reduce(args) -> int:
     oni, omap, trace = to_delta_oni(inst, eps, node_budget=args.budget)
     out = {
         "instance": instance_to_jsonable(oni),
-        "order_map": [list(p) for p in omap.perms],
+        "order_map": [list(p) for p in omap],
         "trace": trace.to_jsonable(),
     }
     _emit(canonical_json(out), args.output)
@@ -119,8 +119,8 @@ def _cmd_verify(args) -> int:
 
 
 def _bench_entry(payload) -> dict:
-    """One CSV row. A toolkit error on this instance fails the row, not the run:
-    the status names the error, pass is false, and fields not reached stay empty."""
+    """One CSV row. A toolkit or file error fails the row, not the run: the
+    status names the error, pass is false, and fields not reached stay empty."""
     base, entry, alpha, delta, budget = payload
     spec = entry.get("spec", {})
     row = dict.fromkeys(_BENCH_FIELDS, "")
@@ -135,7 +135,7 @@ def _bench_entry(payload) -> dict:
         row["branch"] = info.branch
         row.update({f"r{k}": info.rule_counts.get(f"R{k}", 0) for k in range(1, 6)})
         report = check_alpha_mms(inst, alloc, alpha, node_budget=budget)
-    except MmsKitError as e:
+    except (MmsKitError, OSError) as e:
         row["status"] = type(e).__name__
         return row
     ratios = [a.received / a.mms if a.mms else Fraction(1) for a in report.agents]
@@ -158,8 +158,9 @@ def _cmd_bench(args) -> int:
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     entries = manifest["entries"]
     alpha, delta = rat(args.alpha), rat(args.delta)
-    # Bad thresholds are a usage error once, not a failure on every row.
-    solve(Instance(n=0, m=0, values=()), alpha, delta=delta)
+    # Bad thresholds or budgets are one usage error, not a failure on every row;
+    # one agent with no goods reaches the budget check in `mms` without a search.
+    solve(Instance(n=1, m=0, values=((),)), alpha, delta=delta, node_budget=args.budget)
     payloads = [(str(manifest_path.parent), e, alpha, delta, args.budget) for e in entries]
     if args.jobs > 1:
         with Pool(args.jobs) as pool:

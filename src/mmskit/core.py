@@ -202,7 +202,7 @@ class Instance:
             for v in row:
                 if not isinstance(v, Fraction):
                     raise DomainError(f"values must be Fractions, got {type(v).__name__}")
-                if v < 0:
+                if v.numerator < 0:  # a Fraction's denominator is always positive
                     raise DomainError(f"values must be nonnegative, got {v}")
         if self.agent_labels is None:
             object.__setattr__(self, "agent_labels", _identity(self.n))
@@ -280,7 +280,15 @@ def instance_to_json(inst: Instance) -> str:
     return canonical_json(instance_to_jsonable(inst))
 
 
-def instance_from_jsonable(obj) -> Instance:
+def _parse_json(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise DomainError(f"not valid JSON: {e}") from None
+
+
+def instance_from_json(text: str) -> Instance:
+    obj = _parse_json(text)
     if not isinstance(obj, dict):
         raise DomainError("instance JSON must be an object")
     try:
@@ -297,10 +305,6 @@ def instance_from_jsonable(obj) -> Instance:
             raise DomainError("each value row must be a list of m entries")
         mat.append(tuple(jsonable_to_rat(v) for v in row))
     return Instance(n=n, m=m, values=tuple(mat))
-
-
-def instance_from_json(text: str) -> Instance:
-    return instance_from_jsonable(json.loads(text))
 
 
 def allocation_to_jsonable(alloc: Allocation) -> dict:
@@ -320,14 +324,11 @@ def _goods_from_jsonable(goods) -> Bundle:
     return Bundle.of(goods)
 
 
-def allocation_from_jsonable(obj) -> Allocation:
+def allocation_from_json(text: str) -> Allocation:
+    obj = _parse_json(text)
     if not isinstance(obj, dict) or "bundles" not in obj or "unassigned" not in obj:
         raise DomainError("allocation JSON must have 'bundles' and 'unassigned'")
     if not isinstance(obj["bundles"], list):
         raise DomainError("allocation 'bundles' must be a list of bundles")
     bundles = tuple(_goods_from_jsonable(b) for b in obj["bundles"])
     return Allocation(bundles=bundles, unassigned=_goods_from_jsonable(obj["unassigned"]))
-
-
-def allocation_from_json(text: str) -> Allocation:
-    return allocation_from_jsonable(json.loads(text))

@@ -217,6 +217,8 @@ def mms(
     if d <= 0:
         raise DomainError(f"d must be a positive integer, got {d}")
     budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
+    if budget < 0:
+        raise DomainError(f"node budget must be nonnegative, got {budget}")
     ids = _resolve_subset(inst, subset)
     row = inst.row(agent)
 

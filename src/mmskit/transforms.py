@@ -10,7 +10,9 @@ instance; the trace records every award so a solution of the residual
 instance can be lifted back. Good identities do not survive ordering (an
 ordered slot has no single source good when agents disagree), so trace steps
 are recorded in ordered-view coordinates and lifting re-picks concrete goods
-slot by slot, most valuable first.
+slot by slot, most valuable first. An ordering map is a plain tuple of
+per-agent permutations, checked to be bijections by the lift that uses it.
+Every rebuilt instance passes through the one `Instance` constructor.
 """
 
 from __future__ import annotations
@@ -40,18 +42,9 @@ REDUCTION_RULES = (RuleId.R1, RuleId.R2, RuleId.R3, RuleId.R4)
 BAG_AWARD = "BagAward"
 
 
-@dataclass(frozen=True)
-class OrderMap:
-    """Per-agent ranking: perms[i][j] is the source good holding agent i+1's
-    (j+1)-th largest value, ties broken toward the lower good id."""
-
-    perms: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "perms", tuple(tuple(p) for p in self.perms))
-        for p in self.perms:
-            if sorted(p) != list(range(1, len(p) + 1)):
-                raise DomainError("each ordering permutation must be a bijection on [1, m]")
+# omap[i][j] is the source good holding agent i+1's (j+1)-th largest value
+# under `ranking`; `_greedy_lift` checks the map where it consumes one.
+OrderMap = tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -84,7 +77,7 @@ class ReductionTrace:
         return {
             "n_original": self.n_original,
             "m_original": self.m_original,
-            "order_map": [list(p) for p in self.order_map.perms],
+            "order_map": [list(p) for p in self.order_map],
             "scaling": {str(a): rat_to_jsonable(f) for a, f in sorted(self.scaling.items())},
             "steps": [
                 {
@@ -118,7 +111,7 @@ def order(inst: Instance) -> tuple[Instance, OrderMap]:
         perms.append(tuple(idx))
         rows.append(tuple(row[g - 1] for g in idx))
     ordered = Instance(n=inst.n, m=inst.m, values=tuple(rows), agent_labels=inst.agent_labels)
-    return ordered, OrderMap(tuple(perms))
+    return ordered, tuple(perms)
 
 
 def _greedy_lift(omap: OrderMap, m: int, alloc: Allocation) -> Allocation:
@@ -129,7 +122,12 @@ def _greedy_lift(omap: OrderMap, m: int, alloc: Allocation) -> Allocation:
     goods are gone, so the pick is worth at least her j-th largest value.
     Unowned slots leave their share to the leftover pool.
     """
-    n = len(omap.perms)
+    n = len(omap)
+    if n != alloc.n_agents:
+        raise ContractViolation(f"order map has {n} agents, allocation has {alloc.n_agents}")
+    for p in omap:
+        if sorted(p) != list(range(1, m + 1)):
+            raise DomainError("each ordering permutation must be a bijection on [1, m]")
     owner = [0] * (m + 1)
     for a, b in enumerate(alloc.bundles, start=1):
         for g in b:
@@ -141,7 +139,7 @@ def _greedy_lift(omap: OrderMap, m: int, alloc: Allocation) -> Allocation:
         a = owner[slot]
         if a == 0:
             continue
-        perm = omap.perms[a - 1]
+        perm = omap[a - 1]
         p = ptr[a]
         while taken[perm[p]]:
             p += 1
@@ -162,8 +160,6 @@ def lift_ordered_allocation(original: Instance, omap: OrderMap, ordered_alloc: A
     Every agent's value for her lifted bundle (under the original values) is
     at least her value for the ordered bundle (under the ordered values).
     """
-    if len(omap.perms) != original.n:
-        raise ContractViolation("order map does not match the instance's agent count")
     if ordered_alloc.n_agents != original.n:
         raise DomainError("allocation has the wrong number of agents")
     ordered_alloc.validate(original.m)
@@ -411,8 +407,6 @@ def lift_allocation(
         raise ContractViolation(
             f"inner allocation has {inner_alloc.n_agents} agents, trace expects {n_in}"
         )
-    if len(omap.perms) != n_in:
-        raise ContractViolation("order map does not match the trace's surviving agents")
     inner_alloc.validate(m_in)
 
     mid = _greedy_lift(omap, m_in, inner_alloc)

@@ -117,6 +117,16 @@ class TestErrorPaths:
         assert run(["mms", "-i", inst]) == 2
         assert capsys.readouterr().out == ""
 
+    def test_negative_budget_is_usage_error(self, tmp_path, capsys):
+        inst = write_instance(tmp_path, [[977, 953, 911, 877, 859, 823, 787]] * 3)
+        assert run(["mms", "-i", inst, "--budget=-5"]) == 2
+        assert run(["solve", "--alpha", "3/4", "-i", inst, "--budget=-5"]) == 2
+        manifest = write_corpus(default_corpus(2), tmp_path / "corpus")
+        capsys.readouterr()
+        assert run(["bench", "-i", manifest, "--budget=-5"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "nonnegative" in out.err
+
     def test_budget_exhaustion_exit_three(self, tmp_path):
         inst = write_instance(tmp_path, [[977, 953, 911, 877, 859, 823, 787, 757, 733, 701]])
         assert run(["mms", "-i", inst, "--agent", 1, "-d", 3, "--budget", 3]) == 3
@@ -184,8 +194,10 @@ class TestBench:
         write_instance(corpus, [[977, 953, 911, 877, 859, 823, 787, 757, 733, 701]] * 3,
                        "hard.json")
         manifest = corpus / "manifest.json"
+        (corpus / "truncated.json").write_text((corpus / "easy.json").read_text()[:-5])
         manifest.write_text(json.dumps({"entries": [
-            {"id": "easy", "path": "easy.json"}, {"id": "hard", "path": "hard.json"}]}))
+            {"id": "easy", "path": "easy.json"}, {"id": "hard", "path": "hard.json"},
+            {"id": "missing", "path": "missing.json"}, {"id": "truncated", "path": "truncated.json"}]}))
         src = str(Path(mmskit.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         for jobs in (1, 2):
@@ -197,14 +209,18 @@ class TestBench:
             )
             assert done.returncode == 1, done.stderr
             summary = json.loads(done.stdout)
-            assert summary["instances"] == 2 and summary["failed"] == 1
+            assert summary["instances"] == 4 and summary["failed"] == 3
             assert summary["all_pass"] is False
-            easy, hard = csv.DictReader(out_csv.open())
+            easy, hard, missing, truncated = csv.DictReader(out_csv.open())
             assert (easy["id"], easy["status"], easy["pass"]) == ("easy", "ok", "True")
             assert easy["min_ratio"] == "1"
             assert (hard["id"], hard["status"], hard["pass"]) == (
                 "hard", "OracleBudgetExceeded", "False")
             assert hard["min_ratio"] == hard["agent_ratios"] == ""
+            assert (missing["id"], missing["status"], missing["pass"]) == (
+                "missing", "FileNotFoundError", "False")
+            assert (truncated["id"], truncated["status"], truncated["pass"]) == (
+                "truncated", "DomainError", "False")
 
     def test_bad_threshold_is_usage_error(self, tmp_path):
         manifest = write_corpus(default_corpus(1), tmp_path / "corpus")

@@ -133,8 +133,11 @@ class TestBundlesAndAllocations:
 
 class TestInstanceConstruction:
     def test_rejects_negative_values(self):
-        with pytest.raises(DomainError):
-            Instance(n=1, m=1, values=((Fraction(-1),),))
+        # The second row is checked too, and a non-integer negative is caught.
+        for bad in (Fraction(-1), Fraction(-1, 3), 1, 0.5, "1"):
+            with pytest.raises(DomainError):
+                Instance(n=2, m=1, values=((Fraction(1),), (bad,)))
+        assert Instance(n=1, m=1, values=((Fraction(0),),)).values == ((Fraction(0),),)
 
     def test_rejects_bad_shape(self):
         with pytest.raises(DomainError):

@@ -327,6 +327,16 @@ class TestBudget:
             mms(inst, 1, 3, node_budget=2)
         assert exc.value.budget == 2 and exc.value.nodes > 2
 
+    def test_negative_budget_is_a_domain_error(self):
+        inst = make_instance([[977, 953, 911, 877, 859, 823, 787]])
+        clear_cache()
+        with pytest.raises(DomainError, match="nonnegative"):
+            mms(inst, 1, 3, node_budget=-5)
+        # Budget 0 is legal: it allows no search nodes.
+        assert mms(inst, 1, 1, node_budget=0).value == 6187
+        with pytest.raises(OracleBudgetExceeded):
+            mms(inst, 1, 3, node_budget=0)
+
     def test_budget_is_part_of_the_memo_key(self):
         # A share memoized under the default budget must not answer a call
         # whose own budget is too small to certify it.

@@ -36,18 +36,18 @@ class TestOrder:
     def test_single_row_sort(self):
         ordered, omap = order(make_instance([[1, 5, 3]]))
         assert ordered.values == ((Fraction(5), Fraction(3), Fraction(1)),)
-        assert omap.perms == ((2, 3, 1),)
+        assert omap == ((2, 3, 1),)
 
     def test_idempotent_on_ordered_input(self):
         inst = make_instance([[5, 3, 1], [2, 2, 0]])
         ordered, omap = order(inst)
         assert ordered.values == inst.values
-        assert omap.perms == ((1, 2, 3), (1, 2, 3))
+        assert omap == ((1, 2, 3), (1, 2, 3))
 
     def test_per_agent_independent_sort(self):
         ordered, omap = order(make_instance([[1, 2], [2, 1]]))
         assert ordered.values == ((Fraction(2), Fraction(1)),) * 2
-        assert omap.perms == ((2, 1), (1, 2))
+        assert omap == ((2, 1), (1, 2))
 
     def test_preserves_value_multisets(self, rng):
         for _ in range(30):
@@ -107,6 +107,14 @@ class TestLiftOrderedAllocation:
         bad = Allocation(bundles=(Bundle.of([1]),), unassigned=Bundle())
         with pytest.raises(DomainError):
             lift_ordered_allocation(inst, omap, bad)
+
+    def test_malformed_map_rejected(self):
+        inst = make_instance([[3, 2, 1]])
+        alloc = Allocation(bundles=(Bundle.of([1, 2, 3]),))
+        with pytest.raises(DomainError, match="bijection"):
+            lift_ordered_allocation(inst, ((1, 1, 3),), alloc)
+        with pytest.raises(ContractViolation, match="order map has 2 agents"):
+            lift_ordered_allocation(inst, ((1, 2, 3),) * 2, alloc)
 
 
 class TestNormalize:
