@@ -32,7 +32,7 @@ from .core import (
     rat,
     rat_to_text,
 )
-from .errors import GuaranteeViolation, MmsKitError, OracleBudgetExceeded
+from .errors import DomainError, GuaranteeViolation, MmsKitError, OracleBudgetExceeded
 from .gen import FAMILIES, GenSpec, generate
 from .oracle import DEFAULT_NODE_BUDGET, mms
 from .transforms import to_delta_oni
@@ -119,15 +119,21 @@ def _cmd_verify(args) -> int:
 
 
 def _bench_entry(payload) -> dict:
-    """One CSV row. A toolkit or file error fails the row, not the run: the
-    status names the error, pass is false, and fields not reached stay empty."""
+    """One CSV row. A toolkit, file or manifest-entry error fails the row, not
+    the run: the status names the error, pass is false, and fields not reached
+    stay empty."""
     base, entry, alpha, delta, budget = payload
-    spec = entry.get("spec", {})
     row = dict.fromkeys(_BENCH_FIELDS, "")
-    row.update({"id": entry["id"], "family": spec.get("family", ""), "seed": spec.get("seed", ""),
-                "pass": False})
+    row["pass"] = False
     try:
-        inst = instance_from_json((Path(base) / entry["path"]).read_text(encoding="utf-8"))
+        if not isinstance(entry, dict):
+            raise DomainError(f"manifest entry must be an object, got {entry!r}")
+        row["id"] = entry["id"]
+        spec, path = entry.get("spec", {}), entry["path"]
+        if not isinstance(spec, dict) or not isinstance(path, str):
+            raise DomainError("manifest entry needs an object 'spec' and a string 'path'")
+        row.update(family=spec.get("family", ""), seed=spec.get("seed", ""))
+        inst = instance_from_json((Path(base) / path).read_text(encoding="utf-8"))
         row.update(n=inst.n, m=inst.m)
         start = time.perf_counter()
         alloc, info = solve(inst, alpha, delta=delta, node_budget=budget)
@@ -135,7 +141,7 @@ def _bench_entry(payload) -> dict:
         row["branch"] = info.branch
         row.update({f"r{k}": info.rule_counts.get(f"R{k}", 0) for k in range(1, 6)})
         report = check_alpha_mms(inst, alloc, alpha, node_budget=budget)
-    except (MmsKitError, OSError) as e:
+    except (MmsKitError, OSError, KeyError) as e:
         row["status"] = type(e).__name__
         return row
     ratios = [a.received / a.mms if a.mms else Fraction(1) for a in report.agents]

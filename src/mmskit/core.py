@@ -3,9 +3,9 @@
 All valuation magnitudes are `fractions.Fraction`; no operation anywhere in
 the toolkit rounds. Agent and good indices are 1-based, with good 1 the most
 valuable good in an ordered instance. Three rules used across the toolkit
-live here only: `ranking` (the order of goods in every ordered view),
-`partitions` (the covers-exactly-once check) and `canonical_json` (the bytes
-of every JSON file the toolkit writes).
+live here only: `scaled_ranking` (every ordered view and the oracle's
+integer weights), `partitions` (the covers-exactly-once check) and
+`canonical_json` (the bytes of every JSON file the toolkit writes).
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import BoundsError, DomainError
@@ -79,13 +80,21 @@ def jsonable_to_rat(v) -> Fraction:
     raise DomainError(f"instance values must be integers or 'p/q' strings, got {v!r}")
 
 
-def ranking(row: Sequence[Fraction], goods: Iterable[int]) -> list[int]:
-    """`goods` by non-increasing value in `row`, ties toward the lower good id.
+def scaled_ranking(row: Sequence[Fraction], goods: Iterable[int]) -> tuple[list[int], list[int], int]:
+    """`goods` by non-increasing value in `row`, as (ids, weights, denom): denom
+    is the lcm of these goods' denominators and weight = value * denom exactly;
+    the stable reverse=True sort of the ints keeps ties on the lower good id."""
+    ids = sorted(goods)
+    vals = [row[g - 1] for g in ids]
+    denom = lcm(*[v.denominator for v in vals])
+    ints = [v.numerator * (denom // v.denominator) for v in vals]
+    pos = sorted(range(len(ids)), key=ints.__getitem__, reverse=True)
+    return [ids[k] for k in pos], [ints[k] for k in pos], denom
 
-    Every ordered view in the toolkit is built from this one rule. The sort is
-    stable under reverse=True, so equal values keep the ascending id order.
-    """
-    return sorted(sorted(goods), key=lambda g: row[g - 1], reverse=True)
+
+def ranking(row: Sequence[Fraction], goods: Iterable[int]) -> list[int]:
+    """The ids of `scaled_ranking`: the order behind every ordered view."""
+    return scaled_ranking(row, goods)[0]
 
 
 def partitions(groups: Iterable[Iterable[int]], ground: Iterable[int]) -> bool:

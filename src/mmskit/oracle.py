@@ -6,9 +6,9 @@ by enumerating every assignment vector. The enumeration builds the per-bundle
 loads of all assignments of the trailing goods as one outer-sum table and
 adds each assignment of the leading goods to it as a column (numpy, with
 int64 loads below 2^62 and Python integers above). Both are deterministic
-functions of their inputs, and both are exact: values are scaled to integers
-through the least common denominator, searched in arbitrary-precision
-arithmetic, and scaled back. `mms` memoizes its search on the key (scaled
+functions of their inputs, and both are exact: they search the Python-int
+weights of `core.scaled_ranking` (values times the lcm of the searched goods'
+denominators) and scale back. `mms` memoizes its search on the key (scaled
 weights in ranking order, d, node budget), so a memoized share never depends
 on an earlier call's budget; `clear_cache` empties the memo.
 """
@@ -19,9 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import lcm
 
-from .core import Bundle, Instance, Partition, ranking
+from .core import Bundle, Instance, Partition, scaled_ranking
 from .errors import BoundsError, DomainError, OracleBudgetExceeded
 
 DEFAULT_NODE_BUDGET = 50_000_000
@@ -46,11 +45,6 @@ def _resolve_subset(inst: Instance, subset: Bundle | None) -> list[int]:
         if not 1 <= g <= inst.m:
             raise BoundsError(f"good {g} out of range [1, {inst.m}]")
     return ids
-
-
-def _scale_to_ints(vals: list[Fraction]) -> tuple[list[int], int]:
-    denom = lcm(*(v.denominator for v in vals)) if vals else 1
-    return [int(v * denom) for v in vals], denom
 
 
 def _lpt_choice(weights: list[int], d: int) -> tuple[int, list[int]]:
@@ -220,10 +214,7 @@ def mms(
     if budget < 0:
         raise DomainError(f"node budget must be nonnegative, got {budget}")
     ids = _resolve_subset(inst, subset)
-    row = inst.row(agent)
-
-    ordered_ids = ranking(row, ids)
-    weights, denom = _scale_to_ints([row[g - 1] for g in ordered_ids])
+    ordered_ids, weights, denom = scaled_ranking(inst.row(agent), ids)
     scaled_best, bundles = _search(tuple(weights), d, budget)
     witness = Partition(tuple(Bundle.of(ordered_ids[p] for p in b) for b in bundles))
     return MmsResult(value=Fraction(scaled_best, denom), witness=witness)
@@ -249,9 +240,8 @@ def mms_exhaustive(
     s = len(ids)
     if s > cap:
         raise DomainError(f"subset size {s} exceeds the exhaustive enumeration cap {cap}")
-    row = inst.row(agent)
-    vals = [row[g - 1] for g in ids]
-    weights, denom = _scale_to_ints(vals)
+    ranked, ranked_weights, denom = scaled_ranking(inst.row(agent), ids)
+    weights = [w for _, w in sorted(zip(ranked, ranked_weights))]  # back to id order
 
     total_vecs = d**s
     if total_vecs > _EXHAUSTIVE_VECTOR_CAP:

@@ -185,9 +185,10 @@ class TestBench:
         assert strip_runtime(a) == strip_runtime(b)
 
     def test_failed_row_does_not_end_the_run(self, tmp_path):
-        # the n=1 instance needs no search; the other exceeds a 3-node budget.
-        # The CLI runs in a child process so that a hung worker pool fails the
-        # test by timeout instead of stalling the suite.
+        # the n=1 instance needs no search; the other exceeds a 3-node budget;
+        # the last five manifest entries are malformed. The CLI runs in a child
+        # process so that a hung worker pool fails the test by timeout instead
+        # of stalling the suite.
         corpus = tmp_path / "corpus"
         corpus.mkdir()
         write_instance(corpus, [[5, 4, 3]], "easy.json")
@@ -197,7 +198,9 @@ class TestBench:
         (corpus / "truncated.json").write_text((corpus / "easy.json").read_text()[:-5])
         manifest.write_text(json.dumps({"entries": [
             {"id": "easy", "path": "easy.json"}, {"id": "hard", "path": "hard.json"},
-            {"id": "missing", "path": "missing.json"}, {"id": "truncated", "path": "truncated.json"}]}))
+            {"id": "missing", "path": "missing.json"}, {"id": "truncated", "path": "truncated.json"},
+            {"id": "no-path"}, {"path": "easy.json"}, "not-an-object",
+            {"id": "bad-spec", "path": "easy.json", "spec": 7}, {"id": "bad-path", "path": 7}]}))
         src = str(Path(mmskit.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         for jobs in (1, 2):
@@ -209,9 +212,9 @@ class TestBench:
             )
             assert done.returncode == 1, done.stderr
             summary = json.loads(done.stdout)
-            assert summary["instances"] == 4 and summary["failed"] == 3
+            assert summary["instances"] == 9 and summary["failed"] == 8
             assert summary["all_pass"] is False
-            easy, hard, missing, truncated = csv.DictReader(out_csv.open())
+            easy, hard, missing, truncated, *malformed = csv.DictReader(out_csv.open())
             assert (easy["id"], easy["status"], easy["pass"]) == ("easy", "ok", "True")
             assert easy["min_ratio"] == "1"
             assert (hard["id"], hard["status"], hard["pass"]) == (
@@ -221,6 +224,10 @@ class TestBench:
                 "missing", "FileNotFoundError", "False")
             assert (truncated["id"], truncated["status"], truncated["pass"]) == (
                 "truncated", "DomainError", "False")
+            assert [(r["id"], r["status"], r["pass"]) for r in malformed] == [
+                ("no-path", "KeyError", "False"), ("", "KeyError", "False"),
+                ("", "DomainError", "False"), ("bad-spec", "DomainError", "False"),
+                ("bad-path", "DomainError", "False")]
 
     def test_bad_threshold_is_usage_error(self, tmp_path):
         manifest = write_corpus(default_corpus(1), tmp_path / "corpus")

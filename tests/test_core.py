@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import pickle
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mmskit import (
     Allocation,
@@ -22,6 +24,7 @@ from mmskit import (
     rat,
     value,
 )
+from mmskit.core import ranking, scaled_ranking
 from conftest import make_instance, random_instance
 
 
@@ -190,3 +193,36 @@ class TestJson:
     def test_serialization_deterministic(self):
         inst = make_instance([["1/3", 2], [7, "5/9"]])
         assert instance_to_json(inst) == instance_to_json(make_instance([["1/3", 2], [7, "5/9"]]))
+
+
+_DENOMINATORS = st.one_of(
+    st.sampled_from([1, 2, 3, 4, 6, 12]),
+    st.sampled_from([2147483549, 2147483563, 2147483587, 2147483629, 2147483647]),
+)
+_NUMERATORS = st.one_of(st.integers(0, 6), st.integers(2**62, 2**70))
+_VALUES = st.builds(Fraction, _NUMERATORS, _DENOMINATORS)
+
+
+@st.composite
+def _row_and_goods(draw):
+    """A row mixing ties, zeros and small and large terms, and a good set in
+    any order: the whole row, a proper subset or the empty set."""
+    pool = draw(st.lists(_VALUES, min_size=1, max_size=4))
+    row = draw(st.lists(st.one_of(st.sampled_from(pool), _VALUES), max_size=12))
+    every = list(range(1, len(row) + 1))
+    goods = draw(st.one_of(st.permutations(every), st.lists(st.sampled_from(every), unique=True)
+                           if row else st.just([])))
+    return row, goods
+
+
+class TestScaledRanking:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_row_and_goods())
+    def test_matches_fraction_sort_and_exact_scaling(self, case):
+        row, goods = case
+        ids, weights, denom = scaled_ranking(row, goods)
+        assert ids == sorted(sorted(goods), key=lambda g: row[g - 1], reverse=True)
+        assert ranking(row, goods) == ids
+        assert denom == lcm(*(row[g - 1].denominator for g in goods))
+        assert weights == [int(row[g - 1] * denom) for g in ids]
+        assert all(Fraction(w, denom) == row[g - 1] for g, w in zip(ids, weights))

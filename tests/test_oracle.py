@@ -15,7 +15,7 @@ from mmskit import (
     mms_exhaustive,
     value,
 )
-from mmskit.oracle import _search, clear_cache
+from mmskit.oracle import DEFAULT_NODE_BUDGET, _search, clear_cache
 
 from conftest import make_instance, random_instance
 
@@ -190,7 +190,7 @@ class TestExhaustiveBeyondInt64:
                 d = 1 if k % 4 == 0 else rng.randint(2, 4)
                 self.check(inst, d, sorted(ids))
                 vals = [row[g - 1] for g in ids]
-                scale = lcm(*(v.denominator for v in vals)) if vals else 1
+                scale = lcm(*(v.denominator for v in vals))
                 big += sum(vals) * scale >= 2**62
         return big
 
@@ -346,6 +346,16 @@ class TestBudget:
         with pytest.raises(OracleBudgetExceeded) as exc:
             mms(inst, 1, 3, node_budget=1)
         assert (exc.value.nodes, exc.value.budget) == (2, 1)
+
+    def test_memo_key_uses_the_subset_lcm(self):
+        # The row's lcm is 12, but the searched subset {1, 3} (values 1/2 and
+        # 1/4) has lcm 4: the search must get (2, 1), not the row-scaled (6, 3).
+        inst = make_instance([["1/2", "1/3", "1/4"]])
+        clear_cache()
+        assert mms(inst, 1, 2, Bundle.of([1, 3])).value == Fraction(1, 4)
+        assert _search.cache_info().misses == 1
+        _search((2, 1), 2, DEFAULT_NODE_BUDGET)
+        assert _search.cache_info().hits == 1
 
     def test_same_value_multiset_is_searched_once(self):
         inst = make_instance([[5, 3, 8, 1, 4], [8, 1, 3, 5, 4], [4, 1, 5, 8, 3]])
