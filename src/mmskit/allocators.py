@@ -26,13 +26,14 @@ from .transforms import (
     OrderMap,
     ReductionTrace,
     RuleId,
+    apply_rule,
     first_rule,
     lift_allocation,
     pick_recipient,
     restrict,
     rule_applicable,
     rule_counts_from_trace,
-    take_rule_award,
+    split_ids,
     to_delta_oni,
 )
 
@@ -263,42 +264,36 @@ def approx_mms2(
     waiting = set(range(1, n + 1))
     _award_or_grow(inst, alpha, state, waiting, priority, audit)
 
-    # Stage 2: reductions on the residual instance. Its labels are positions
-    # of the allocator input, so awards land straight in the allocation.
+    # Stage 2: reductions on the residual instance, whose rows and goods stand
+    # for the allocator-input ids in `agents` and `goods`, so each award maps
+    # straight into the allocation. R5 prefers the priority classes; R2/R3 do not.
     awarded_goods = {g for b in state.satisfied.values() for g in b}
-    work = restrict(
-        Instance(n=n, m=m, values=inst.values),
-        sorted(waiting),
-        (g for g in range(1, m + 1) if g not in awarded_goods),
-    )
-
-    while True:
-        work_priority = {p for p in range(1, work.n + 1) if work.agent_labels[p - 1] in priority}
-        fired = first_rule(work, (RuleId.R5,), alpha, work_priority)
-        if fired is None:
-            break
-        rule, agent = fired
-        work, removed, label = take_rule_award(work, rule, agent, alpha)
-        state.satisfied[label] = removed
-        counts[rule.value] += 1
-
-    while (fired := first_rule(work, (RuleId.R2, RuleId.R3), alpha)) is not None:
-        rule, agent = fired
-        work, removed, label = take_rule_award(work, rule, agent, alpha)
-        state.satisfied[label] = removed
-        counts[rule.value] += 1
-        # The two top goods only ever shrink here, so the pair rule must stay off.
-        assert rule_applicable(work, RuleId.R5, alpha) is None
+    agents = sorted(waiting)
+    goods = [g for g in range(1, m + 1) if g not in awarded_goods]
+    work = restrict(inst, agents, goods)
+    for rules, preferred in (((RuleId.R5,), priority), ((RuleId.R2, RuleId.R3), frozenset())):
+        while True:
+            work_priority = {p for p, a in enumerate(agents, start=1) if a in preferred}
+            fired = first_rule(work, rules, alpha, work_priority)
+            if fired is None:
+                break
+            rule, agent = fired
+            work, awarded = apply_rule(work, rule, agent, alpha)
+            (who,), agents = split_ids(agents, (agent,))
+            award, goods = split_ids(goods, awarded)
+            state.satisfied[who] = Bundle.of(award)
+            counts[rule.value] += 1
+            # The two top goods only ever shrink under R2/R3, so the pair rule must stay off.
+            assert rule is RuleId.R5 or rule_applicable(work, RuleId.R5, alpha) is None
 
     # Stage 3: triple-seeded bags over what is left, filled one at a time from
-    # beyond 3n. The residual good labels increase with position, so bags and
-    # pool translated to the input's goods keep their order and tie-breaks.
+    # beyond 3n. `goods` increases with position, so bags and pool translated
+    # to the input's goods keep their order and tie-breaks.
     assert work.n == 0 or rule_applicable(work, RuleId.R5, alpha) is None
     n3, m3 = work.n, work.m
-    labels = work.good_labels
-    cbags = {k: [labels[g - 1] for g in c_bag_ids(k, n3) if g <= m3] for k in range(1, n3 + 1)}
-    state.pool = [labels[g - 1] for g in range(3 * n3 + 1, m3 + 1)]
-    waiting = set(work.agent_labels)
+    cbags = {k: [goods[g - 1] for g in c_bag_ids(k, n3) if g <= m3] for k in range(1, n3 + 1)}
+    state.pool = goods[3 * n3:]
+    waiting = set(agents)
     for k in range(1, n3 + 1):
         state.bags = {k: cbags.pop(k)}
         _award_or_grow(inst, alpha, state, waiting, priority, audit)

@@ -141,7 +141,7 @@ def _bench_entry(payload) -> dict:
         row["branch"] = info.branch
         row.update({f"r{k}": info.rule_counts.get(f"R{k}", 0) for k in range(1, 6)})
         report = check_alpha_mms(inst, alloc, alpha, node_budget=budget)
-    except (MmsKitError, OSError, KeyError) as e:
+    except (MmsKitError, OSError, KeyError, UnicodeDecodeError) as e:
         row["status"] = type(e).__name__
         return row
     ratios = [a.received / a.mms if a.mms else Fraction(1) for a in report.agents]
@@ -162,7 +162,9 @@ _BENCH_FIELDS = [
 def _cmd_bench(args) -> int:
     manifest_path = Path(args.input)
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    entries = manifest["entries"]
+    entries = manifest.get("entries") if isinstance(manifest, dict) else None
+    if not isinstance(entries, list):
+        raise DomainError("a manifest must be an object with an 'entries' list")
     alpha, delta = rat(args.alpha), rat(args.delta)
     # Bad thresholds or budgets are one usage error, not a failure on every row;
     # one agent with no goods reaches the budget check in `mms` without a search.

@@ -181,24 +181,17 @@ class Allocation:
             raise DomainError(f"allocation does not cover [1, {m}] exactly once")
 
 
-def _identity(k: int) -> tuple[int, ...]:
-    return tuple(range(1, k + 1))
-
-
 @dataclass(frozen=True)
 class Instance:
     """A fair-division instance: n agents, m goods, exact valuation matrix.
 
-    `agent_labels` / `good_labels` track identities through sub-instance
-    construction (reductions compact indices but remember where each row and
-    column came from). Freshly built instances carry identity labels.
+    An instance is its values and nothing more: two instances with equal
+    matrices are equal.
     """
 
     n: int
     m: int
     values: tuple[tuple[Fraction, ...], ...]
-    agent_labels: tuple[int, ...] = None  # type: ignore[assignment]
-    good_labels: tuple[int, ...] = None  # type: ignore[assignment]
 
     def __post_init__(self):
         if self.n < 0 or self.m < 0:
@@ -213,16 +206,6 @@ class Instance:
                     raise DomainError(f"values must be Fractions, got {type(v).__name__}")
                 if v.numerator < 0:  # a Fraction's denominator is always positive
                     raise DomainError(f"values must be nonnegative, got {v}")
-        if self.agent_labels is None:
-            object.__setattr__(self, "agent_labels", _identity(self.n))
-        else:
-            object.__setattr__(self, "agent_labels", tuple(self.agent_labels))
-        if self.good_labels is None:
-            object.__setattr__(self, "good_labels", _identity(self.m))
-        else:
-            object.__setattr__(self, "good_labels", tuple(self.good_labels))
-        if len(self.agent_labels) != self.n or len(self.good_labels) != self.m:
-            raise DomainError("label lengths do not match n, m")
 
     @staticmethod
     def from_rows(rows: Iterable[Iterable[int | str | Fraction]]) -> "Instance":
@@ -238,7 +221,7 @@ class Instance:
         return self.values[agent - 1]
 
     def all_goods(self) -> Bundle:
-        return Bundle(_identity(self.m))
+        return Bundle(tuple(range(1, self.m + 1)))
 
 
 def value(inst: Instance, agent: int, bundle: Bundle | Iterable[int]) -> Fraction:

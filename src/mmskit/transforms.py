@@ -6,13 +6,16 @@ The pipeline to an ordered, normalized, irreducible instance is:
     normalize -> order again
 
 Reductions award a small set of goods to one agent and drop both from the
-instance; the trace records every award so a solution of the residual
-instance can be lifted back. Good identities do not survive ordering (an
-ordered slot has no single source good when agents disagree), so trace steps
-are recorded in ordered-view coordinates and lifting re-picks concrete goods
-slot by slot, most valuable first. An ordering map is a plain tuple of
-per-agent permutations, checked to be bijections by the lift that uses it.
-Every rebuilt instance passes through the one `Instance` constructor.
+instance. An instance is only its value matrix, so each reduction keeps its
+own lists of the ids its rows and columns stand for and maps every award
+through them (`split_ids`); the trace records every award so a solution of
+the residual instance can be lifted back. Good identities do not survive
+ordering (an ordered slot has no single source good when agents disagree),
+so trace steps are recorded in ordered-view coordinates and lifting re-picks
+concrete goods slot by slot, most valuable first. An ordering map is a
+plain tuple of per-agent permutations, checked to be bijections by the lift
+that uses it. Every rebuilt instance passes through the one `Instance`
+constructor.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
-from typing import Collection, Iterable
+from typing import Collection, Iterable, Sequence
 
 from .core import Allocation, Bundle, Instance, ranking, rat_to_jsonable, value
 from .errors import ContractViolation, DomainError
@@ -110,8 +113,7 @@ def order(inst: Instance) -> tuple[Instance, OrderMap]:
         idx = ranking(row, range(1, inst.m + 1))
         perms.append(tuple(idx))
         rows.append(tuple(row[g - 1] for g in idx))
-    ordered = Instance(n=inst.n, m=inst.m, values=tuple(rows), agent_labels=inst.agent_labels)
-    return ordered, tuple(perms)
+    return Instance(n=inst.n, m=inst.m, values=tuple(rows)), tuple(perms)
 
 
 def _greedy_lift(omap: OrderMap, m: int, alloc: Allocation) -> Allocation:
@@ -259,42 +261,24 @@ def first_rule(
 
 
 def restrict(inst: Instance, agents: Iterable[int], goods: Iterable[int]) -> Instance:
-    """Sub-instance on the listed agent and good indices; rows and columns keep their labels."""
+    """Sub-instance on the listed agent and good indices, in the listed order."""
     agents, goods = list(agents), list(goods)
     return Instance(
         n=len(agents),
         m=len(goods),
         values=tuple(tuple(inst.values[a - 1][g - 1] for g in goods) for a in agents),
-        agent_labels=tuple(inst.agent_labels[a - 1] for a in agents),
-        good_labels=tuple(inst.good_labels[g - 1] for g in goods),
     )
 
 
-def take_rule_award(
-    inst: Instance,
-    rule: RuleId,
-    agent: int,
-    alpha: Fraction,
-) -> tuple[Instance, Bundle, int]:
-    """Apply one rule: drop the agent and the rule's goods (dummies vanish)
-    and compact indices.
-
-    The agent must actually satisfy the rule's trigger; the residual instance
-    stays ordered. Returns the residual instance plus the removed goods and
-    agent in the parent instance's label space.
-    """
-    if not 1 <= agent <= inst.n:
-        raise ContractViolation(f"agent {agent} out of range")
-    ids = rule_good_ids(rule, inst.n)
-    if _padded_value(inst, agent, ids) < alpha:
-        raise ContractViolation(f"rule {rule.value} is not applicable to agent {agent} at {alpha}")
-    real = [g for g in ids if g <= inst.m]
-    sub = restrict(
-        inst,
-        (i for i in range(1, inst.n + 1) if i != agent),
-        (g for g in range(1, inst.m + 1) if g not in real),
-    )
-    return sub, Bundle.of(inst.good_labels[g - 1] for g in real), inst.agent_labels[agent - 1]
+def split_ids(ids: Sequence[int], positions: Collection[int]) -> tuple[list[int], list[int]]:
+    """The ids at the 1-based `positions` of `ids`, and the ids left, each in
+    list order: how a reduction maps an award on its working instance back to
+    the agent and good ids its rows and columns stand for."""
+    taken: list[int] = []
+    kept: list[int] = []
+    for p, x in enumerate(ids, start=1):
+        (taken if p in positions else kept).append(x)
+    return taken, kept
 
 
 def apply_rule(
@@ -302,17 +286,26 @@ def apply_rule(
     rule: RuleId,
     agent: int,
     alpha: Fraction,
-    trace: ReductionTrace | None = None,
-) -> Instance:
-    """Award the rule's goods to `agent` and drop both from the instance.
+) -> tuple[Instance, tuple[int, ...]]:
+    """Award the rule's goods to `agent`: drop both (dummies vanish) and
+    compact indices.
 
-    The trace (when given) gains one step recorded in the instance's label
-    space.
+    The agent must actually satisfy the rule's trigger; the residual instance
+    stays ordered. Returns the residual instance and the awarded goods'
+    indices in `inst`, ascending.
     """
-    sub, removed, agent_label = take_rule_award(inst, rule, agent, alpha)
-    if trace is not None:
-        trace.steps.append(TraceStep(rule=rule, agent=agent_label, goods=removed, threshold=alpha))
-    return sub
+    if not 1 <= agent <= inst.n:
+        raise ContractViolation(f"agent {agent} out of range")
+    ids = rule_good_ids(rule, inst.n)
+    if _padded_value(inst, agent, ids) < alpha:
+        raise ContractViolation(f"rule {rule.value} is not applicable to agent {agent} at {alpha}")
+    real = tuple(g for g in ids if g <= inst.m)
+    sub = restrict(
+        inst,
+        (i for i in range(1, inst.n + 1) if i != agent),
+        (g for g in range(1, inst.m + 1) if g not in real),
+    )
+    return sub, real
 
 
 def reduce(
@@ -331,39 +324,40 @@ def reduce(
     """
     if eps < 0:
         raise DomainError("eps must be nonnegative")
-    ordered, omap = order(inst)
+    cur, omap = order(inst)
     trace = ReductionTrace(order_map=omap, n_original=inst.n, m_original=inst.m)
-    cur = ordered
+    # The original agent id of each row of `cur` and the ordered-view id of
+    # each of its goods.
+    agents = list(range(1, inst.n + 1))
+    goods = list(range(1, inst.m + 1))
 
     if cur.n > 0:
         shares = [mms(cur, i, cur.n, node_budget=node_budget).value for i in range(1, cur.n + 1)]
         zero_rows = [i for i, s in zip(range(1, cur.n + 1), shares) if s == 0]
         if zero_rows:
-            for i in zero_rows:
-                trace.steps.append(
-                    TraceStep(
-                        rule=BAG_AWARD,
-                        agent=cur.agent_labels[i - 1],
-                        goods=Bundle(),
-                        threshold=Fraction(0),
-                    )
-                )
-            keep = [i for i in range(1, cur.n + 1) if i not in zero_rows]
-            cur = restrict(cur, keep, range(1, cur.m + 1))
+            stripped, agents = split_ids(agents, zero_rows)
+            trace.steps.extend(
+                TraceStep(rule=BAG_AWARD, agent=a, goods=Bundle(), threshold=Fraction(0))
+                for a in stripped
+            )
+            # `cur` is still the ordered input, so the surviving ids are its rows.
+            cur = restrict(cur, agents, range(1, cur.m + 1))
             # Fewer agents can only raise a share, so one stripping pass suffices;
             # rescale against the shares at the new agent count.
             shares = [mms(cur, i, cur.n, node_budget=node_budget).value for i in range(1, cur.n + 1)]
-        if cur.n > 0:
-            rows = []
-            for i in range(1, cur.n + 1):
-                trace.scaling[cur.agent_labels[i - 1]] = shares[i - 1]
-                rows.append(tuple(v / shares[i - 1] for v in cur.values[i - 1]))
-            cur = replace(cur, values=tuple(rows))
+        trace.scaling.update(zip(agents, shares))
+        rows = [tuple(v / s for v in row) for row, s in zip(cur.values, shares)]
+        cur = replace(cur, values=tuple(rows))
 
     threshold = Fraction(3, 4) + eps
     while (fired := first_rule(cur, REDUCTION_RULES, threshold)) is not None:
         rule, agent = fired
-        cur = apply_rule(cur, rule, agent, threshold, trace)
+        cur, awarded = apply_rule(cur, rule, agent, threshold)
+        (who,), agents = split_ids(agents, (agent,))
+        award, goods = split_ids(goods, awarded)
+        trace.steps.append(
+            TraceStep(rule=rule, agent=who, goods=Bundle.of(award), threshold=threshold)
+        )
     return cur, trace
 
 

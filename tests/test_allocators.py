@@ -30,6 +30,8 @@ from mmskit.allocators import (
     b_bag_ids,
     c_bag_ids,
 )
+from mmskit.gen import default_corpus, generate
+from mmskit.transforms import restrict
 from conftest import make_instance
 
 DELTA = DELTA_DEFAULT
@@ -297,6 +299,17 @@ class TestMainDriver:
         goods_only = Instance(n=0, m=3, values=())
         alloc = solve(goods_only, ALPHA_MAX)[0]
         assert alloc.unassigned == Bundle.of([1, 2, 3])
+
+    def test_sub_instance_solves_like_its_rows_built_fresh(self):
+        # An instance is only its value matrix: solving the corpus instances
+        # with their agents reversed by `restrict` must pass and give what the
+        # same rows built fresh give.
+        for spec in default_corpus(400):
+            inst = generate(spec)
+            flipped = restrict(inst, range(inst.n, 0, -1), range(1, inst.m + 1))
+            alloc = solve(flipped, ALPHA_MAX)[0]
+            assert check_alpha_mms(flipped, alloc, ALPHA_MAX).passed
+            assert alloc == solve(make_instance(flipped.values), ALPHA_MAX)[0]
 
     def test_zero_share_agent_is_fine(self):
         inst = make_instance([[0, 0, 0], [1, 2, 3]])

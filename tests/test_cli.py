@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import mmskit
 from mmskit import GuaranteeViolation, allocation_from_json
 from mmskit.cli import main
@@ -186,7 +188,8 @@ class TestBench:
 
     def test_failed_row_does_not_end_the_run(self, tmp_path):
         # the n=1 instance needs no search; the other exceeds a 3-node budget;
-        # the last five manifest entries are malformed. The CLI runs in a child
+        # one file is missing, one truncated, one not UTF-8, and the last five
+        # manifest entries are malformed. The CLI runs in a child
         # process so that a hung worker pool fails the test by timeout instead
         # of stalling the suite.
         corpus = tmp_path / "corpus"
@@ -196,10 +199,11 @@ class TestBench:
                        "hard.json")
         manifest = corpus / "manifest.json"
         (corpus / "truncated.json").write_text((corpus / "easy.json").read_text()[:-5])
+        (corpus / "latin1.json").write_bytes('{"n": 1, "m": 1, "values": [["\u00e9"]]}'.encode("latin-1"))
         manifest.write_text(json.dumps({"entries": [
             {"id": "easy", "path": "easy.json"}, {"id": "hard", "path": "hard.json"},
             {"id": "missing", "path": "missing.json"}, {"id": "truncated", "path": "truncated.json"},
-            {"id": "no-path"}, {"path": "easy.json"}, "not-an-object",
+            {"id": "latin1", "path": "latin1.json"}, {"id": "no-path"}, {"path": "easy.json"}, "not-an-object",
             {"id": "bad-spec", "path": "easy.json", "spec": 7}, {"id": "bad-path", "path": 7}]}))
         src = str(Path(mmskit.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -212,9 +216,9 @@ class TestBench:
             )
             assert done.returncode == 1, done.stderr
             summary = json.loads(done.stdout)
-            assert summary["instances"] == 9 and summary["failed"] == 8
+            assert summary["instances"] == 10 and summary["failed"] == 9
             assert summary["all_pass"] is False
-            easy, hard, missing, truncated, *malformed = csv.DictReader(out_csv.open())
+            easy, hard, missing, truncated, latin1, *malformed = csv.DictReader(out_csv.open())
             assert (easy["id"], easy["status"], easy["pass"]) == ("easy", "ok", "True")
             assert easy["min_ratio"] == "1"
             assert (hard["id"], hard["status"], hard["pass"]) == (
@@ -224,10 +228,22 @@ class TestBench:
                 "missing", "FileNotFoundError", "False")
             assert (truncated["id"], truncated["status"], truncated["pass"]) == (
                 "truncated", "DomainError", "False")
+            assert (latin1["id"], latin1["status"], latin1["pass"]) == (
+                "latin1", "UnicodeDecodeError", "False")
             assert [(r["id"], r["status"], r["pass"]) for r in malformed] == [
                 ("no-path", "KeyError", "False"), ("", "KeyError", "False"),
                 ("", "DomainError", "False"), ("bad-spec", "DomainError", "False"),
                 ("bad-path", "DomainError", "False")]
+
+    @pytest.mark.parametrize(
+        "manifest", [[], "x", {"entries": None}, {"entries": 5}, {"entries": {}}],
+        ids=["list", "string", "null-entries", "int-entries", "object-entries"])
+    def test_manifest_without_entries_list_is_usage_error(self, tmp_path, capsys, manifest):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        assert run(["bench", "-i", path]) == 2
+        captured = capsys.readouterr()
+        assert "'entries' list" in captured.err and captured.out == ""
 
     def test_bad_threshold_is_usage_error(self, tmp_path):
         manifest = write_corpus(default_corpus(1), tmp_path / "corpus")

@@ -154,8 +154,7 @@ class TestInstanceConstruction:
 class TestJson:
     def test_round_trip_bit_exact(self):
         inst = make_instance([[1, "2/3"], [0, 4]])
-        again = instance_from_json(instance_to_json(inst))
-        assert again.values == inst.values and (again.n, again.m) == (inst.n, inst.m)
+        assert instance_from_json(instance_to_json(inst)) == inst
 
     def test_rejects_negative_and_float_values(self):
         with pytest.raises(DomainError):
@@ -226,3 +225,34 @@ class TestScaledRanking:
         assert denom == lcm(*(row[g - 1].denominator for g in goods))
         assert weights == [int(row[g - 1] * denom) for g in ids]
         assert all(Fraction(w, denom) == row[g - 1] for g, w in zip(ids, weights))
+
+
+@st.composite
+def _instances(draw):
+    """Instances of 0-4 agents and 0-6 goods, empty matrices included."""
+    n, m = draw(st.integers(0, 4)), draw(st.integers(0, 6))
+    rows = draw(st.lists(st.lists(_VALUES, min_size=m, max_size=m), min_size=n, max_size=n))
+    return Instance(n=n, m=m, values=rows)
+
+
+@st.composite
+def _allocations(draw):
+    """Valid allocations: each of m goods goes to one of n agents or the pool (owner 0)."""
+    n, m = draw(st.integers(0, 4)), draw(st.integers(0, 10))
+    owners = draw(st.lists(st.integers(0, n), min_size=m, max_size=m))
+    held = [Bundle.of(g for g, o in enumerate(owners, start=1) if o == a) for a in range(n + 1)]
+    alloc = Allocation(bundles=tuple(held[1:]), unassigned=held[0])
+    alloc.validate(m)
+    return alloc
+
+
+class TestJsonRoundTrip:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_instances())
+    def test_instance(self, inst):
+        assert instance_from_json(instance_to_json(inst)) == inst
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_allocations())
+    def test_allocation(self, alloc):
+        assert allocation_from_json(allocation_to_json(alloc)) == alloc

@@ -24,7 +24,7 @@ from mmskit import (
     to_delta_oni,
     value,
 )
-from mmskit.transforms import ReductionTrace, rule_good_ids, take_rule_award
+from mmskit.transforms import restrict, rule_good_ids
 
 from conftest import make_instance, random_instance
 
@@ -186,29 +186,24 @@ class TestRuleApplicability:
 
 
 class TestApplyRule:
-    def _trace(self, inst):
-        return ReductionTrace(order_map=order(inst)[1], n_original=inst.n, m_original=inst.m)
-
     def test_top_rule_bookkeeping(self):
         inst = make_instance([[1, "1/2", "1/2"], ["1/2", "1/2", "1/2"]])
-        trace = self._trace(inst)
-        sub = apply_rule(inst, RuleId.R1, 1, ALPHA34, trace)
+        sub, awarded = apply_rule(inst, RuleId.R1, 1, ALPHA34)
         assert (sub.n, sub.m) == (1, 2)
-        step = trace.steps[0]
-        assert step.rule is RuleId.R1 and step.agent == 1 and step.goods == Bundle.of([1])
+        assert awarded == (1,)
 
     def test_triple_rule_removes_three_goods(self):
         inst = make_instance([["1/2", "1/2", "1/4", "1/4", "1/4"]] * 2)
-        sub = apply_rule(inst, RuleId.R2, 1, ALPHA34, self._trace(inst))
+        sub, awarded = apply_rule(inst, RuleId.R2, 1, ALPHA34)
         assert (sub.n, sub.m) == (1, 2)
+        assert awarded == (3, 4, 5)
 
     def test_pair_rule_reindexes(self):
         row = ["2/5"] * 7
         inst = make_instance([row] * 3)
-        sub, removed, agent_label = take_rule_award(inst, RuleId.R4, 2, ALPHA34)
-        assert removed == Bundle.of([1, 7]) and agent_label == 2
-        assert (sub.n, sub.m) == (2, 5)
-        assert sub.good_labels == (2, 3, 4, 5, 6)
+        sub, awarded = apply_rule(inst, RuleId.R4, 2, ALPHA34)
+        assert awarded == (1, 7)
+        assert sub == restrict(inst, (1, 3), range(2, 7))
         assert is_ordered(sub)
 
     def test_inapplicable_rule_rejected(self):
