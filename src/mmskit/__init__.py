@@ -38,7 +38,6 @@ from .transforms import (
     normalize,
     order,
     reduce,
-    rule_applicable,
     to_delta_oni,
 )
 from .allocators import (
@@ -71,7 +70,7 @@ __all__ = [
     "GuaranteeViolation", "MmsKitError", "OracleBudgetExceeded",
     "mms", "mms_exhaustive",
     "RuleId", "apply_rule", "lift_allocation", "lift_ordered_allocation",
-    "normalize", "order", "reduce", "rule_applicable", "to_delta_oni",
+    "normalize", "order", "reduce", "to_delta_oni",
     "ALPHA_MAX", "DELTA_DEFAULT", "SolveInfo",
     "approx_mms1", "approx_mms2", "bag_fill", "classify_agents",
     "complete_allocation", "solve",

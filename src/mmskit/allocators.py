@@ -17,6 +17,7 @@ bag k+1 is looked at; it returns its allocation with the R2/R3/R5 counts.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,8 +32,7 @@ from .transforms import (
     lift_allocation,
     pick_recipient,
     restrict,
-    rule_applicable,
-    rule_counts_from_trace,
+    rule_rows,
     split_ids,
     to_delta_oni,
 )
@@ -270,27 +270,27 @@ def approx_mms2(
     awarded_goods = {g for b in state.satisfied.values() for g in b}
     agents = sorted(waiting)
     goods = [g for g in range(1, m + 1) if g not in awarded_goods]
-    work = restrict(inst, agents, goods)
+    rows, bars, _ = rule_rows(restrict(inst, agents, goods), alpha)
     for rules, preferred in (((RuleId.R5,), priority), ((RuleId.R2, RuleId.R3), frozenset())):
         while True:
+            # R2/R3 only ever shrink the two top goods, so R5 stays off for stage 3.
+            if rules[0] is not RuleId.R5 and first_rule(rows, bars, (RuleId.R5,)) is not None:
+                raise ContractViolation("the pair rule R5 applies after its stage-2 loop")
             work_priority = {p for p, a in enumerate(agents, start=1) if a in preferred}
-            fired = first_rule(work, rules, alpha, work_priority)
+            fired = first_rule(rows, bars, rules, work_priority)
             if fired is None:
                 break
             rule, agent = fired
-            work, awarded = apply_rule(work, rule, agent, alpha)
+            awarded = apply_rule(rows, bars, rule, agent)
             (who,), agents = split_ids(agents, (agent,))
             award, goods = split_ids(goods, awarded)
             state.satisfied[who] = Bundle.of(award)
             counts[rule.value] += 1
-            # The two top goods only ever shrink under R2/R3, so the pair rule must stay off.
-            assert rule is RuleId.R5 or rule_applicable(work, RuleId.R5, alpha) is None
 
     # Stage 3: triple-seeded bags over what is left, filled one at a time from
     # beyond 3n. `goods` increases with position, so bags and pool translated
     # to the input's goods keep their order and tie-breaks.
-    assert work.n == 0 or rule_applicable(work, RuleId.R5, alpha) is None
-    n3, m3 = work.n, work.m
+    n3, m3 = len(agents), len(goods)
     cbags = {k: [goods[g - 1] for g in c_bag_ids(k, n3) if g <= m3] for k in range(1, n3 + 1)}
     state.pool = goods[3 * n3:]
     waiting = set(agents)
@@ -368,7 +368,7 @@ def solve(
             inner, counts = approx_mms2(oni, delta, cls, audit=audit)
             branch = "mms2"
 
-    rule_counts = rule_counts_from_trace(trace)
+    rule_counts = dict(Counter(s.rule.value for s in trace.steps if isinstance(s.rule, RuleId)))
     for key, c in counts.items():
         rule_counts[key] = rule_counts.get(key, 0) + c
     final = lift_allocation(trace, omap, inst, inner)

@@ -160,6 +160,8 @@ _BENCH_FIELDS = [
 
 
 def _cmd_bench(args) -> int:
+    if args.jobs < 1:
+        raise DomainError(f"--jobs must be at least 1, got {args.jobs}")
     manifest_path = Path(args.input)
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     entries = manifest.get("entries") if isinstance(manifest, dict) else None
@@ -265,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-i", "--input", required=True, help="corpus manifest path")
     p.add_argument("--alpha", default=rat_to_text(ALPHA_MAX))
     p.add_argument("--delta", default=rat_to_text(DELTA_DEFAULT))
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="worker processes, at least 1 (default 1)")
     add_common(p)
     p.set_defaults(func=_cmd_bench)
 

@@ -10,15 +10,17 @@ functions of their inputs, and both are exact: they search the Python-int
 weights of `core.scaled_ranking` (values times the lcm of the searched goods'
 denominators) and scale back. `mms` memoizes its search on the key (scaled
 weights in ranking order, d, node budget), so a memoized share never depends
-on an earlier call's budget; `clear_cache` empties the memo.
+on an earlier call's budget; `clear_cache` empties the memo. A result builds
+its witness partition only when the witness is read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
+from typing import Sequence
 
 from .core import Bundle, Instance, Partition, scaled_ranking
 from .errors import BoundsError, DomainError, OracleBudgetExceeded
@@ -29,12 +31,22 @@ _EXHAUSTIVE_VECTOR_CAP = 50_000_000
 _NUMPY_CHUNK = 1 << 17
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MmsResult:
-    """Exact optimum plus one witness partition attaining it."""
+    """Exact optimum plus one witness partition attaining it, kept as bundles of
+    positions in `goods` until first read; equal when value and witness are."""
 
     value: Fraction
-    witness: Partition
+    goods: Sequence[int] = field(repr=False)
+    positions: Sequence[Sequence[int]] = field(repr=False)
+
+    @cached_property
+    def witness(self) -> Partition:
+        return Partition(tuple(Bundle.of(self.goods[p] for p in b) for b in self.positions))
+
+    def __eq__(self, other):
+        same = isinstance(other, MmsResult) and self.value == other.value
+        return same and self.witness == other.witness
 
 
 def _resolve_subset(inst: Instance, subset: Bundle | None) -> list[int]:
@@ -216,8 +228,7 @@ def mms(
     ids = _resolve_subset(inst, subset)
     ordered_ids, weights, denom = scaled_ranking(inst.row(agent), ids)
     scaled_best, bundles = _search(tuple(weights), d, budget)
-    witness = Partition(tuple(Bundle.of(ordered_ids[p] for p in b) for b in bundles))
-    return MmsResult(value=Fraction(scaled_best, denom), witness=witness)
+    return MmsResult(Fraction(scaled_best, denom), ordered_ids, bundles)
 
 
 def mms_exhaustive(
@@ -251,10 +262,9 @@ def mms_exhaustive(
     bundles: list[list[int]] = [[] for _ in range(d)]
     k = best_k
     for t in range(s - 1, -1, -1):
-        bundles[k % d].append(ids[t])
+        bundles[k % d].append(t)
         k //= d
-    witness = Partition(tuple(Bundle.of(b) for b in bundles))
-    return MmsResult(value=Fraction(best, denom), witness=witness)
+    return MmsResult(Fraction(best, denom), ids, bundles)
 
 
 def _enumerate(weights: list[int], d: int) -> tuple[int, int]:

@@ -14,8 +14,8 @@ ordering (an ordered slot has no single source good when agents disagree),
 so trace steps are recorded in ordered-view coordinates and lifting re-picks
 concrete goods slot by slot, most valuable first. An ordering map is a
 plain tuple of per-agent permutations, checked to be bijections by the lift
-that uses it. Every rebuilt instance passes through the one `Instance`
-constructor.
+that uses it. The rules fire on integer rows (`rule_rows`), so the residual
+instance of `reduce` is built once, at the end.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 from typing import Collection, Iterable, Sequence
 
 from .core import Allocation, Bundle, Instance, ranking, rat_to_jsonable, value
@@ -57,9 +58,6 @@ class TraceStep:
     goods: Bundle  # ordered-view good ids awarded with the step
     threshold: Fraction
 
-    def rule_name(self) -> str:
-        return self.rule.value if isinstance(self.rule, RuleId) else self.rule
-
 
 @dataclass
 class ReductionTrace:
@@ -84,7 +82,7 @@ class ReductionTrace:
             "scaling": {str(a): rat_to_jsonable(f) for a, f in sorted(self.scaling.items())},
             "steps": [
                 {
-                    "rule": s.rule_name(),
+                    "rule": s.rule.value if isinstance(s.rule, RuleId) else s.rule,
                     "agent": s.agent,
                     "goods": list(s.goods.goods),
                     "threshold": rat_to_jsonable(s.threshold),
@@ -92,15 +90,6 @@ class ReductionTrace:
                 for s in self.steps
             ],
         }
-
-
-def rule_counts_from_trace(trace: ReductionTrace) -> dict[str, int]:
-    """How many times each reduction rule fired in a trace (awards excluded)."""
-    counts: dict[str, int] = {}
-    for step in trace.steps:
-        if isinstance(step.rule, RuleId):
-            counts[step.rule.value] = counts.get(step.rule.value, 0) + 1
-    return counts
 
 
 def order(inst: Instance) -> tuple[Instance, OrderMap]:
@@ -212,9 +201,34 @@ def rule_good_ids(rule: RuleId, n: int) -> tuple[int, ...]:
     raise DomainError(f"unknown rule {rule!r}")
 
 
-def _padded_value(inst: Instance, agent: int, ids: tuple[int, ...]) -> Fraction:
-    row = inst.values[agent - 1]
-    return sum((row[g - 1] for g in ids if g <= inst.m), Fraction(0))
+def rule_rows(
+    inst: Instance, alpha: Fraction, shares: Sequence[Fraction] | None = None
+) -> tuple[list[list[int]], list[int], list[int]]:
+    """The rule engine's view of `inst`, each row divided by its share (1 by
+    default): per row, its numerators over the lcm L of its denominators, the
+    scale S = share * L they are read over, and the bar ceil(alpha * S) their
+    sum on a rule's goods must reach. Returns (rows, bars, scales); a share
+    must be a multiple of 1/L, as `mms` of a whole row is."""
+    rows, bars, scales = [], [], []
+    for k, row in enumerate(inst.values):
+        den = lcm(*[v.denominator for v in row])
+        scale = den if shares is None else den * shares[k]
+        if scale.denominator != 1:
+            raise ContractViolation(f"the share of row {k + 1} is not a multiple of 1/{den}")
+        rows.append([v.numerator * (den // v.denominator) for v in row])
+        bars.append(-(-alpha.numerator * scale.numerator // alpha.denominator))
+        scales.append(scale.numerator)
+    return rows, bars, scales
+
+
+def _triggered(
+    rows: list[list[int]], bars: list[int], rule: RuleId
+) -> tuple[tuple[int, ...], list[int]]:
+    """The rule's goods in integer rows (dummies past the last good drop out)
+    and, ascending, the agents whose numerators on them reach their bars."""
+    goods = tuple(g for g in rule_good_ids(rule, len(rows)) if g <= len(rows[0]))
+    return goods, [i for i, (row, bar) in enumerate(zip(rows, bars), start=1)
+                   if sum(row[g - 1] for g in goods) >= bar]
 
 
 def pick_recipient(eligible: list[int], priority: Collection[int]) -> int:
@@ -225,38 +239,19 @@ def pick_recipient(eligible: list[int], priority: Collection[int]) -> int:
     return eligible[0]
 
 
-def rule_applicable(
-    inst: Instance,
-    rule: RuleId,
-    alpha: Fraction,
-    priority: frozenset[int] | set[int] | None = None,
-) -> int | None:
-    """Lowest-index agent whose rule trigger meets `alpha`, or None.
-
-    The instance must be ordered. When a priority set is given, eligible
-    agents inside it are preferred (lowest index within the set first).
-    """
-    if inst.n == 0:
-        return None
-    ids = rule_good_ids(rule, inst.n)
-    eligible = [i for i in range(1, inst.n + 1) if _padded_value(inst, i, ids) >= alpha]
-    if not eligible:
-        return None
-    return pick_recipient(eligible, priority or ())
-
-
 def first_rule(
-    inst: Instance,
+    rows: list[list[int]],
+    bars: list[int],
     rules: Iterable[RuleId],
-    alpha: Fraction,
-    priority: frozenset[int] | set[int] | None = None,
+    priority: Collection[int] | None = None,
 ) -> tuple[RuleId, int] | None:
-    """The first of `rules` that some agent triggers at `alpha`, with the agent
-    `rule_applicable` picks for it; None when no rule applies."""
-    for rule in rules:
-        agent = rule_applicable(inst, rule, alpha, priority)
-        if agent is not None:
-            return rule, agent
+    """The first of `rules` that some agent triggers, with the lowest-index
+    such agent (members of `priority` first); None when no rule applies.
+    `rows` and `bars` come from `rule_rows` of an ordered instance."""
+    for rule in rules if rows else ():
+        eligible = _triggered(rows, bars, rule)[1]
+        if eligible:
+            return rule, pick_recipient(eligible, priority or ())
     return None
 
 
@@ -282,30 +277,24 @@ def split_ids(ids: Sequence[int], positions: Collection[int]) -> tuple[list[int]
 
 
 def apply_rule(
-    inst: Instance,
-    rule: RuleId,
-    agent: int,
-    alpha: Fraction,
-) -> tuple[Instance, tuple[int, ...]]:
-    """Award the rule's goods to `agent`: drop both (dummies vanish) and
-    compact indices.
+    rows: list[list[int]], bars: list[int], rule: RuleId, agent: int
+) -> tuple[int, ...]:
+    """Award the rule's goods to `agent`: drop her row and bar and the goods'
+    columns from the lists in place (dummies vanish), compacting indices.
 
-    The agent must actually satisfy the rule's trigger; the residual instance
-    stays ordered. Returns the residual instance and the awarded goods'
-    indices in `inst`, ascending.
+    The agent must actually satisfy the rule's trigger; the rows stay
+    ordered. Returns the awarded goods' indices before the drop, ascending.
     """
-    if not 1 <= agent <= inst.n:
+    if not 1 <= agent <= len(rows):
         raise ContractViolation(f"agent {agent} out of range")
-    ids = rule_good_ids(rule, inst.n)
-    if _padded_value(inst, agent, ids) < alpha:
-        raise ContractViolation(f"rule {rule.value} is not applicable to agent {agent} at {alpha}")
-    real = tuple(g for g in ids if g <= inst.m)
-    sub = restrict(
-        inst,
-        (i for i in range(1, inst.n + 1) if i != agent),
-        (g for g in range(1, inst.m + 1) if g not in real),
-    )
-    return sub, real
+    goods, eligible = _triggered(rows, bars, rule)
+    if agent not in eligible:
+        raise ContractViolation(f"rule {rule.value} is not applicable to agent {agent}")
+    del rows[agent - 1], bars[agent - 1]
+    for row in rows:
+        for g in reversed(goods):
+            del row[g - 1]
+    return goods
 
 
 def reduce(
@@ -331,34 +320,34 @@ def reduce(
     agents = list(range(1, inst.n + 1))
     goods = list(range(1, inst.m + 1))
 
-    if cur.n > 0:
+    shares = [mms(cur, i, cur.n, node_budget=node_budget).value for i in range(1, cur.n + 1)]
+    zero_rows = [i for i, s in zip(range(1, cur.n + 1), shares) if s == 0]
+    if zero_rows:
+        stripped, agents = split_ids(agents, zero_rows)
+        trace.steps.extend(
+            TraceStep(rule=BAG_AWARD, agent=a, goods=Bundle(), threshold=Fraction(0))
+            for a in stripped
+        )
+        # `cur` is still the ordered input, so the surviving ids are its rows.
+        cur = restrict(cur, agents, range(1, cur.m + 1))
+        # Fewer agents can only raise a share, so one stripping pass suffices;
+        # rescale against the shares at the new agent count.
         shares = [mms(cur, i, cur.n, node_budget=node_budget).value for i in range(1, cur.n + 1)]
-        zero_rows = [i for i, s in zip(range(1, cur.n + 1), shares) if s == 0]
-        if zero_rows:
-            stripped, agents = split_ids(agents, zero_rows)
-            trace.steps.extend(
-                TraceStep(rule=BAG_AWARD, agent=a, goods=Bundle(), threshold=Fraction(0))
-                for a in stripped
-            )
-            # `cur` is still the ordered input, so the surviving ids are its rows.
-            cur = restrict(cur, agents, range(1, cur.m + 1))
-            # Fewer agents can only raise a share, so one stripping pass suffices;
-            # rescale against the shares at the new agent count.
-            shares = [mms(cur, i, cur.n, node_budget=node_budget).value for i in range(1, cur.n + 1)]
-        trace.scaling.update(zip(agents, shares))
-        rows = [tuple(v / s for v in row) for row, s in zip(cur.values, shares)]
-        cur = replace(cur, values=tuple(rows))
+    trace.scaling.update(zip(agents, shares))
 
     threshold = Fraction(3, 4) + eps
-    while (fired := first_rule(cur, REDUCTION_RULES, threshold)) is not None:
+    rows, bars, scales = rule_rows(cur, threshold, shares)
+    while (fired := first_rule(rows, bars, REDUCTION_RULES)) is not None:
         rule, agent = fired
-        cur, awarded = apply_rule(cur, rule, agent, threshold)
+        awarded = apply_rule(rows, bars, rule, agent)
+        del scales[agent - 1]
         (who,), agents = split_ids(agents, (agent,))
         award, goods = split_ids(goods, awarded)
         trace.steps.append(
             TraceStep(rule=rule, agent=who, goods=Bundle.of(award), threshold=threshold)
         )
-    return cur, trace
+    values = tuple(tuple(Fraction(a, s) for a in row) for row, s in zip(rows, scales))
+    return Instance(n=len(rows), m=len(goods), values=values), trace
 
 
 def to_delta_oni(

@@ -16,7 +16,7 @@ from .core import Allocation, Instance, canonical_json, is_ordered, rat_to_text,
 from .errors import ContractViolation, DomainError
 from .oracle import clear_cache, mms
 from .allocators import classify_agents
-from .transforms import REDUCTION_RULES, first_rule
+from .transforms import REDUCTION_RULES, first_rule, rule_rows
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,8 @@ def check_oni(inst: Instance, delta: Fraction, *, node_budget: int | None = None
             return OniReport(
                 False, f"agent {i} has maximin share {rat_to_text(share)}, expected 1"
             )
-    fired = first_rule(inst, REDUCTION_RULES, Fraction(3, 4) + delta)
+    rows, bars, _ = rule_rows(inst, Fraction(3, 4) + delta)
+    fired = first_rule(rows, bars, REDUCTION_RULES)
     if fired is not None:
         rule, agent = fired
         return OniReport(False, f"{rule.value} applicable to agent {agent}")
@@ -158,7 +159,8 @@ def check_structural_lemmas(
     violations = list(_pair_bound_violations(inst))
     pair_ok = not violations
 
-    irreducible = first_rule(inst, REDUCTION_RULES, Fraction(3, 4) + delta) is None
+    rows, bars, _ = rule_rows(inst, Fraction(3, 4) + delta)
+    irreducible = first_rule(rows, bars, REDUCTION_RULES) is None
     min_goods_ok: bool | None = None
     tail_ok: bool | None = None
     if irreducible:

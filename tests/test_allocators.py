@@ -7,6 +7,7 @@ import pytest
 from mmskit import (
     ALPHA_MAX,
     Bundle,
+    RuleId,
     ContractViolation,
     DELTA_DEFAULT,
     DomainError,
@@ -23,6 +24,7 @@ from mmskit import (
     to_delta_oni,
     value,
 )
+from mmskit import allocators
 from mmskit.allocators import (
     BagState,
     _fill_b_bags,
@@ -215,6 +217,22 @@ class TestApproxMms2:
         assert counts["R5"] == 1
         report = check_alpha_mms(inst, alloc, ALPHA34 + DELTA)
         assert report.passed
+
+    def test_skipped_pair_rule_is_a_contract_violation(self, monkeypatch):
+        # Stage 3 needs R5 off. An engine that misses an applicable R5 once
+        # must fail loudly, as a ContractViolation that `python -O` keeps.
+        real, missed = allocators.first_rule, []
+
+        def miss_pair_rule_once(*args, **kwargs):
+            if (RuleId.R5,) in args and not missed:
+                missed.append(args)
+                return None
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(allocators, "first_rule", miss_pair_rule_once)
+        inst = oni_of(make_instance([[30, 30, 15, 15, 15, 15]] * 2))
+        with pytest.raises(ContractViolation, match="R5"):
+            approx_mms2(inst, DELTA)
 
     def test_triple_bags_grown_from_tail(self):
         # shape that reaches the bag-growing phase: one half, quarters

@@ -245,6 +245,15 @@ class TestBench:
         captured = capsys.readouterr()
         assert "'entries' list" in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_is_usage_error(self, tmp_path, capsys, jobs):
+        manifest = write_corpus(default_corpus(1), tmp_path / "corpus")
+        out_csv = tmp_path / "bench.csv"
+        assert run(["bench", "-i", manifest, "-o", out_csv, "--jobs", jobs]) == 2
+        captured = capsys.readouterr()
+        assert "--jobs must be at least 1" in captured.err and captured.out == ""
+        assert not out_csv.exists()
+
     def test_bad_threshold_is_usage_error(self, tmp_path):
         manifest = write_corpus(default_corpus(1), tmp_path / "corpus")
         assert run(["bench", "-i", manifest, "--alpha", "1/0"]) == 2

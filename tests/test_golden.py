@@ -4,8 +4,13 @@ The digest covers the first 200 default-corpus instances at
 alpha = 3/4 + 3/3836 and at alpha = 3/4: the allocation JSON, the branch, the
 rule counts and every allocator award (bag, recipient, eligible agents). The
 slice takes both allocator branches above 3/4, with pair-rule firings and
-both starting-bag and triple-bag awards in the second. A change that alters
-outputs on purpose updates GOLDEN_SHA256 and says why in CHANGES.md.
+both starting-bag and triple-bag awards in the second.
+
+A second digest pins what `reduce` and `mms` hand out on the same slice: the
+`to_delta_oni` residual instance, final order map and trace (scaling
+included) at epsilon = 0 and epsilon = 3/3836, and every agent's `mms` value
+and witness at d = n. A change that alters outputs on purpose updates the
+digest it moves and says why in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -14,10 +19,13 @@ import hashlib
 import json
 from fractions import Fraction
 
-from mmskit import ALPHA_MAX, allocation_to_json, solve
+from mmskit import ALPHA_MAX, allocation_to_json, mms, solve
+from mmskit.core import canonical_json, instance_to_jsonable, rat_to_jsonable
 from mmskit.gen import default_corpus, generate
+from mmskit.transforms import to_delta_oni
 
 GOLDEN_SHA256 = "767685b00bed869e6045f9e85f4a9de30ddfdb50b644e673d8b3a003ae743960"
+REDUCE_MMS_SHA256 = "f5f9bdb65c6877fc27fb78394b39215e9fc5bc1629199398bf9284a1bd7a152a"
 
 
 def _award_jsonable(event: dict) -> dict:
@@ -48,3 +56,29 @@ def golden_digest() -> str:
 
 def test_outputs_match_golden_digest():
     assert golden_digest() == GOLDEN_SHA256
+
+
+def reduce_mms_digest() -> str:
+    digest = hashlib.sha256()
+    for spec in default_corpus(200):
+        inst = generate(spec)
+        for eps in (Fraction(0), Fraction(3, 3836)):
+            oni, omap, trace = to_delta_oni(inst, eps)
+            record = {
+                "instance": instance_to_jsonable(oni),
+                "order_map": [list(p) for p in omap],
+                "trace": trace.to_jsonable(),
+            }
+            digest.update(canonical_json(record).encode())
+        for agent in range(1, inst.n + 1):
+            res = mms(inst, agent, inst.n)
+            record = {
+                "value": rat_to_jsonable(res.value),
+                "witness": [list(b.goods) for b in res.witness],
+            }
+            digest.update(canonical_json(record).encode())
+    return digest.hexdigest()
+
+
+def test_reduce_and_mms_match_golden_digest():
+    assert reduce_mms_digest() == REDUCE_MMS_SHA256

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import ceil, lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mmskit import (
     Allocation,
@@ -20,16 +22,22 @@ from mmskit import (
     normalize,
     order,
     reduce,
-    rule_applicable,
     to_delta_oni,
     value,
 )
-from mmskit.transforms import restrict, rule_good_ids
+from mmskit.transforms import first_rule, restrict, rule_good_ids, rule_rows
 
 from conftest import make_instance, random_instance
 
 EPS0 = Fraction(0)
 ALPHA34 = Fraction(3, 4)
+
+
+def applicable(inst, rule, alpha, priority=None):
+    """The agent the rule engine picks for one rule, or None."""
+    rows, bars, _ = rule_rows(inst, alpha)
+    fired = first_rule(rows, bars, (rule,), priority)
+    return fired and fired[1]
 
 
 class TestOrder:
@@ -159,57 +167,144 @@ class TestRuleApplicability:
 
     def test_threshold_met_exactly(self):
         inst = make_instance([["3/4", "1/10"]])
-        assert rule_applicable(inst, RuleId.R1, ALPHA34) == 1
+        assert applicable(inst, RuleId.R1, ALPHA34) == 1
 
     def test_three_small_goods_not_enough(self):
         # all goods worth alpha/4: the triple at ranks {3,4,5} sums 3*alpha/4
         alpha = Fraction(3, 4)
         inst = make_instance([[alpha / 4] * 5, [alpha / 4] * 5])
-        assert rule_applicable(inst, RuleId.R2, alpha) is None
+        assert applicable(inst, RuleId.R2, alpha) is None
 
     def test_dummy_pad_makes_pair_rule_match_top_rule(self):
         # n=2, m=4: good 5 is a zero dummy, so the pair rule reduces to the
         # top-good test
         inst = make_instance([["3/4", "1/10", "1/10", "1/10"]] * 2)
-        assert rule_applicable(inst, RuleId.R4, ALPHA34) == 1
+        assert applicable(inst, RuleId.R4, ALPHA34) == 1
         inst2 = make_instance([["7/10", "1/10", "1/10", "1/10"]] * 2)
-        assert rule_applicable(inst2, RuleId.R4, ALPHA34) is None
+        assert applicable(inst2, RuleId.R4, ALPHA34) is None
 
     def test_lowest_index_agent_wins(self):
         inst = make_instance([["1/2", 0], ["3/4", 0], ["3/4", 0]])
-        assert rule_applicable(inst, RuleId.R1, ALPHA34) == 2
+        assert applicable(inst, RuleId.R1, ALPHA34) == 2
 
     def test_priority_filter(self):
         inst = make_instance([[1, 1], [1, 1]])
-        assert rule_applicable(inst, RuleId.R5, ALPHA34, priority={2}) == 2
-        assert rule_applicable(inst, RuleId.R5, ALPHA34) == 1
+        assert applicable(inst, RuleId.R5, ALPHA34, priority={2}) == 2
+        assert applicable(inst, RuleId.R5, ALPHA34) == 1
+
+
+_DENOMINATORS = st.one_of(
+    st.integers(1, 12),
+    st.sampled_from([2147483549, 2147483563, 2147483587, 2147483629, 2147483647]),
+)
+_VALUES = st.builds(Fraction, st.one_of(st.integers(0, 12), st.integers(0, 2**70)), _DENOMINATORS)
+_EPSILONS = st.builds(Fraction, st.integers(0, 4), st.sampled_from([1, 100, 956, 3836]))
+
+
+def _lcm_of(values):
+    return lcm(*[v.denominator for v in values])
+
+
+@st.composite
+def _engine_cases(draw):
+    """Rows with one share each (a multiple of 1/lcm of the row's
+    denominators, near a fraction of the row's total), a threshold 3/4 + eps,
+    a rule order and a priority set. One row may have a rule sum set to meet
+    the threshold exactly, or to fall one numerator short of its bar."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(0, 13))
+    alpha = Fraction(3, 4) + draw(_EPSILONS)
+    rows = [draw(st.lists(_VALUES, min_size=m, max_size=m)) for _ in range(n)]
+    rules = tuple(draw(st.lists(st.sampled_from(list(RuleId)), min_size=1, max_size=5, unique=True)))
+    priority = draw(st.sets(st.integers(1, n)))
+
+    def share(row, den):
+        k = sum(row, Fraction(0)) * den // draw(st.integers(1, 5)) + draw(st.integers(0, 3))
+        return Fraction(max(k, 1), den)
+
+    shares = [share(row, _lcm_of(row)) for row in rows]
+    i = draw(st.integers(0, n - 1))
+    goods = [g for g in rule_good_ids(draw(st.sampled_from(rules)), n) if g <= m]
+    mode = draw(st.sampled_from(["exact", "short", "free"]))
+    if goods and mode != "free":
+        row, last = rows[i], goods[-1] - 1
+        den = _lcm_of(row[:last] + row[last + 1:])
+        shares[i] = share(row, den)
+        if mode == "exact":
+            target = alpha * shares[i]
+        else:  # the numerator sum ends one below ceil(alpha * share * den)
+            target = Fraction(ceil(alpha * shares[i] * den) - 1, den)
+        rest = sum((row[g - 1] for g in goods[:-1]), Fraction(0))
+        if target >= rest:
+            row[last] = target - rest
+    return rows, shares, alpha, rules, priority
+
+
+def _fraction_first_rule(scaled, rules, alpha, priority):
+    """The definition, on Fractions: a rule fires for agent i when the scaled
+    row's goods at the rule's indices (dummies past m count 0) reach alpha."""
+    n, m = len(scaled), len(scaled[0])
+    for rule in rules:
+        ids = rule_good_ids(rule, n)
+        eligible = [
+            i for i in range(1, n + 1)
+            if sum((scaled[i - 1][g - 1] for g in ids if g <= m), Fraction(0)) >= alpha
+        ]
+        if eligible:
+            return rule, next((i for i in eligible if i in priority), eligible[0])
+    return None
+
+
+class TestIntegerTrigger:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_engine_cases(), st.booleans())
+    def test_engine_matches_fraction_definition(self, case, divide_first):
+        rows, shares, alpha, rules, priority = case
+        scaled = [[v / s for v in row] for row, s in zip(rows, shares)]
+        expected = _fraction_first_rule(scaled, rules, alpha, priority)
+        if divide_first:  # the rows arrive scaled, read over their own lcm
+            ints, bars, _ = rule_rows(Instance.from_rows(scaled), alpha)
+        else:  # the engine divides by the shares through the bars
+            ints, bars, _ = rule_rows(Instance.from_rows(rows), alpha, shares)
+        assert first_rule(ints, bars, rules, priority) == expected
+
+    def test_share_off_the_row_grid_rejected(self):
+        inst = make_instance([["1/2", "1/4"]])
+        with pytest.raises(ContractViolation, match="multiple of 1/4"):
+            rule_rows(inst, ALPHA34, [Fraction(1, 3)])
 
 
 class TestApplyRule:
     def test_top_rule_bookkeeping(self):
         inst = make_instance([[1, "1/2", "1/2"], ["1/2", "1/2", "1/2"]])
-        sub, awarded = apply_rule(inst, RuleId.R1, 1, ALPHA34)
-        assert (sub.n, sub.m) == (1, 2)
+        rows, bars, _ = rule_rows(inst, ALPHA34)
+        awarded = apply_rule(rows, bars, RuleId.R1, 1)
+        assert (len(rows), len(bars), len(rows[0])) == (1, 1, 2)
         assert awarded == (1,)
 
     def test_triple_rule_removes_three_goods(self):
         inst = make_instance([["1/2", "1/2", "1/4", "1/4", "1/4"]] * 2)
-        sub, awarded = apply_rule(inst, RuleId.R2, 1, ALPHA34)
-        assert (sub.n, sub.m) == (1, 2)
+        rows, bars, _ = rule_rows(inst, ALPHA34)
+        awarded = apply_rule(rows, bars, RuleId.R2, 1)
+        assert (len(rows), len(rows[0])) == (1, 2)
         assert awarded == (3, 4, 5)
 
     def test_pair_rule_reindexes(self):
         row = ["2/5"] * 7
         inst = make_instance([row] * 3)
-        sub, awarded = apply_rule(inst, RuleId.R4, 2, ALPHA34)
+        rows, bars, _ = rule_rows(inst, ALPHA34)
+        awarded = apply_rule(rows, bars, RuleId.R4, 2)
         assert awarded == (1, 7)
-        assert sub == restrict(inst, (1, 3), range(2, 7))
-        assert is_ordered(sub)
+        assert (rows, bars) == rule_rows(restrict(inst, (1, 3), range(2, 7)), ALPHA34)[:2]
+        assert all(row == sorted(row, reverse=True) for row in rows)
 
     def test_inapplicable_rule_rejected(self):
         inst = make_instance([["1/2", "1/2"]])
-        with pytest.raises(ContractViolation):
-            apply_rule(inst, RuleId.R1, 1, ALPHA34)
+        rows, bars, _ = rule_rows(inst, ALPHA34)
+        with pytest.raises(ContractViolation, match="not applicable"):
+            apply_rule(rows, bars, RuleId.R1, 1)
+        with pytest.raises(ContractViolation, match="out of range"):
+            apply_rule(rows, bars, RuleId.R5, 2)
+        assert (rows, bars) == rule_rows(inst, ALPHA34)[:2]
 
 
 class TestReduce:
@@ -268,7 +363,7 @@ class TestReduce:
             inst = random_instance(rng, n_max=4, m_max=9)
             red, _ = reduce(inst, EPS0)
             for rule in (RuleId.R1, RuleId.R2, RuleId.R3, RuleId.R4):
-                assert rule_applicable(red, rule, ALPHA34) is None
+                assert applicable(red, rule, ALPHA34) is None
 
 
 class TestToDeltaOni:
