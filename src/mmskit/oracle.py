@@ -2,12 +2,12 @@
 
 `mms` certifies the exact optimum of max-over-partitions min-bundle-value
 with a depth-first search over bundle assignments; `mms_exhaustive` checks it
-by enumerating every assignment vector. The enumeration builds the per-bundle
-loads of all assignments of the trailing goods as one outer-sum table and
-adds each assignment of the leading goods to it as a column (numpy, with
-int64 loads below 2^62 and Python integers above). Both are deterministic
-functions of their inputs, and both are exact: they search the Python-int
-weights of `core.scaled_ranking` (values times the lcm of the searched goods'
+by enumeration: the leading goods run only over canonical labellings (one
+per partition of them), each adding its loads as a column to an outer-sum
+table of all assignments of the trailing goods (numpy, with int64 loads below
+2^62 and Python integers above). Both are deterministic functions of their
+inputs, and both are exact: they search the Python-int weights of
+`core.scaled_ranking` (values times the lcm of the searched goods'
 denominators) and scale back. `mms` memoizes its search on the key (scaled
 weights in ranking order, d, node budget), so a memoized share never depends
 on an earlier call's budget; `clear_cache` empties the memo. A result builds
@@ -19,8 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import product
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .core import Bundle, Instance, Partition, scaled_ranking
 from .errors import BoundsError, DomainError, OracleBudgetExceeded
@@ -28,7 +27,8 @@ from .errors import BoundsError, DomainError, OracleBudgetExceeded
 DEFAULT_NODE_BUDGET = 50_000_000
 EXHAUSTIVE_SUBSET_CAP = 12
 _EXHAUSTIVE_VECTOR_CAP = 50_000_000
-_NUMPY_CHUNK = 1 << 17
+# Outer-sum table columns: 1 << 12 was fastest over d 2-6, m 6-12.
+_NUMPY_CHUNK = 1 << 12
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,10 +239,13 @@ def mms_exhaustive(
     *,
     cap: int = EXHAUSTIVE_SUBSET_CAP,
 ) -> MmsResult:
-    """Reference oracle: full enumeration of all d^|subset| assignment vectors.
+    """Reference oracle: enumerates every partition of `subset` into d bundles.
 
-    Enumeration index k encodes the vector base-d with the lowest good id as
-    the most significant digit; the first maximizing vector is the witness.
+    Assignment vectors are ordered base-d, lowest good id most significant,
+    and the first maximizing vector is the witness. The leading goods run
+    only over canonical labellings (labels first used in the order 0, 1, ...);
+    relabelling so never moves a vector later, so the first maximizer is
+    canonical and still reached first. The cap counts all d^|subset| vectors.
     Shares no search code with `mms`.
     """
     if d <= 0:
@@ -267,13 +270,28 @@ def mms_exhaustive(
     return MmsResult(Fraction(best, denom), ids, bundles)
 
 
+def _canonical_prefixes(h: int, d: int) -> Iterator[tuple[int, ...]]:
+    """Assignments of h goods to at most d bundles with labels first used in
+    the order 0, 1, 2, ..., in lexicographic order: one per partition."""
+
+    def extend(prefix: tuple[int, ...], used: int):
+        if len(prefix) == h:
+            yield prefix
+            return
+        for j in range(min(used + 1, d)):
+            yield from extend(prefix + (j,), max(used, j + 1))
+
+    return extend((), 0)
+
+
 def _enumerate(weights: list[int], d: int) -> tuple[int, int]:
-    """Best min-bundle load over all d^s assignment vectors, and its first index.
+    """Best min-bundle load over all d^s assignment vectors, and the base-d index
+    of the first vector attaining it.
 
     The loads of every assignment of the last r goods form a (d, d^r) table,
-    built as outer sums; each assignment of the leading goods adds its loads
-    as a column. int64 holds every load when the total is below 2^62, Python
-    ints (object dtype) beyond that.
+    built as outer sums; each canonical prefix of the leading goods adds its
+    loads as a column. int64 holds every load when the total is below 2^62,
+    Python ints (object dtype) beyond that.
     """
     import numpy as np  # only this test reference needs numpy; solve and verify do not
 
@@ -287,10 +305,12 @@ def _enumerate(weights: list[int], d: int) -> tuple[int, int]:
     for w in weights[s - r :]:
         tail = (tail[:, :, None] + w * eye[:, None, :]).reshape(d, -1)
     best, best_k = -1, 0
-    for p, head in enumerate(product(range(d), repeat=s - r)):
+    for head in _canonical_prefixes(s - r, d):
         loads = [0] * d
+        p = 0
         for w, j in zip(weights, head):
             loads[j] += w
+            p = p * d + j
         mins = (tail + np.array(loads, dtype=dtype)[:, None]).min(axis=0)
         k = int(np.argmax(mins))
         if mins[k] > best:

@@ -1,0 +1,50 @@
+"""Deep cross-check of `mms` against the `mms_exhaustive` reference.
+
+Seeded single-agent rows at d = 4-6 and every m from d + 2 up to the
+largest subset the reference enumerates (EXHAUSTIVE_SUBSET_CAP goods and at
+most _EXHAUSTIVE_VECTOR_CAP assignment vectors), on grids 20, 100 and 1000:
+longer than the tier-1 cross-checks, so CI runs it as its own step. Both
+values must be equal, and each witness's weakest bundle must be worth the
+value. Prints one line per d and exits 1 on the first disagreement.
+
+    PYTHONPATH=src python tests/deep_crosscheck.py
+"""
+
+from __future__ import annotations
+
+import sys
+import time
+
+from mmskit import Instance, mms, mms_exhaustive, value
+from mmskit.gen import SplitMix64
+from mmskit.oracle import _EXHAUSTIVE_VECTOR_CAP, EXHAUSTIVE_SUBSET_CAP, clear_cache
+
+SEED = 0x5EED0DEE
+ROWS_PER_SHAPE = 300
+GRIDS = (20, 100, 1000)
+
+
+def main() -> int:
+    rng = SplitMix64(SEED)
+    for d in (4, 5, 6):
+        t0 = time.perf_counter()
+        m_max = max(m for m in range(EXHAUSTIVE_SUBSET_CAP + 1) if d**m <= _EXHAUSTIVE_VECTOR_CAP)
+        checked = 0
+        for m in range(d + 2, m_max + 1):
+            for grid in GRIDS:
+                for _ in range(ROWS_PER_SHAPE):
+                    inst = Instance.from_rows([[rng.randint(0, grid) for _ in range(m)]])
+                    clear_cache()
+                    fast, reference = mms(inst, 1, d), mms_exhaustive(inst, 1, d)
+                    weakest = [min(value(inst, 1, b) for b in r.witness) for r in (fast, reference)]
+                    if not fast.value == reference.value == weakest[0] == weakest[1]:
+                        print(f"d={d} row={[str(v) for v in inst.values[0]]}: mms {fast.value}, "
+                              f"mms_exhaustive {reference.value}, weakest bundles {weakest}")
+                        return 1
+                    checked += 1
+        print(f"d={d}: m {d + 2}-{m_max}, {checked} rows agree in {time.perf_counter() - t0:.1f}s")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

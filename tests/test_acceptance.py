@@ -91,18 +91,29 @@ def test_criterion_1_oracle_soundness():
             b = mms_exhaustive(inst, agent, n)
             assert a.value == b.value, (inst.values, agent)
             compared += 1
+    larger = []
     for _ in range(1_000):
         n = rng.randint(1, 3)
         m = rng.randint(8, 12)
-        inst = make_instance([[rng.randint(0, 3) for _ in range(m)] for _ in range(n)])
-        for agent in range(1, n + 1):
+        larger.append([[rng.randint(0, 3) for _ in range(m)] for _ in range(n)])
+    # Four agents on values 0..20, and Fraction rows, at m 8-11.
+    for _ in range(150):
+        m = rng.randint(8, 11)
+        larger.append([[rng.randint(0, 20) for _ in range(m)] for _ in range(4)])
+    for _ in range(150):
+        n, m = rng.randint(1, 3), rng.randint(8, 11)
+        larger.append([[Fraction(rng.randint(0, 12), rng.randint(1, 9)) for _ in range(m)]
+                       for _ in range(n)])
+    for rows in larger:
+        inst = make_instance(rows)
+        for agent in range(1, inst.n + 1):
             clear_cache()
-            assert mms(inst, agent, n).value == mms_exhaustive(inst, agent, n).value
+            assert mms(inst, agent, inst.n).value == mms_exhaustive(inst, agent, inst.n).value
             compared += 1
     elapsed = time.perf_counter() - t0
     assert elapsed < 300, f"runtime target missed: {elapsed:.1f}s"
     announce(1, f"search oracle == exhaustive on {compared} agent checks "
-                f"across 11000 instances in {elapsed:.1f}s (< 5 min)")
+                f"across {10_000 + len(larger)} instances in {elapsed:.1f}s (< 5 min)")
 
 
 def test_criterion_2_main_theorem(corpus_run):

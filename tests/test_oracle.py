@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
 from math import lcm
+from pathlib import Path
 
 import pytest
 
+import mmskit
 from mmskit import (
     Bundle,
     DomainError,
@@ -15,7 +20,7 @@ from mmskit import (
     mms_exhaustive,
     value,
 )
-from mmskit.oracle import DEFAULT_NODE_BUDGET, _search, clear_cache
+from mmskit.oracle import DEFAULT_NODE_BUDGET, _canonical_prefixes, _search, clear_cache
 
 from conftest import make_instance, random_instance
 
@@ -154,17 +159,20 @@ class TestOracleEquivalence:
 
 def first_maximiser(inst, agent, d, ids):
     """Brute force in the reference's documented order: the lowest good id is
-    the most significant digit, and the first vector reaching the optimum wins."""
-    row = inst.row(agent)
-    best, best_vec = None, None
+    the most significant digit, and the first vector reaching the optimum wins.
+    Loads are integers: the values times the lcm of their denominators."""
+    vals = [inst.row(agent)[g - 1] for g in ids]
+    scale = lcm(*(v.denominator for v in vals))
+    weights = [v.numerator * (scale // v.denominator) for v in vals]
+    best, best_vec = -1, None
     for vec in product(range(d), repeat=len(ids)):
-        loads = [Fraction(0)] * d
-        for g, j in zip(ids, vec):
-            loads[j] += row[g - 1]
-        if best is None or min(loads) > best:
+        loads = [0] * d
+        for w, j in zip(weights, vec):
+            loads[j] += w
+        if min(loads) > best:
             best, best_vec = min(loads), vec
     bundles = (Bundle.of(g for g, j in zip(ids, best_vec) if j == b) for b in range(d))
-    return best, Partition(tuple(bundles))
+    return Fraction(best, scale), Partition(tuple(bundles))
 
 
 class TestExhaustiveBeyondInt64:
@@ -206,6 +214,46 @@ class TestExhaustiveBeyondInt64:
             primes = rng.shuffle(list(self.PRIMES))[:m]
             rows.append([Fraction(p - rng.below(2**20), p) for p in primes])
         assert self.cases(rng, rows) >= 6
+
+
+class TestExhaustiveWitnessPastTheTable:
+    # Past the goods of the outer-sum table the leading goods run only over
+    # canonical prefixes. On tie-heavy rows many vectors reach the optimum,
+    # so the witness must still be the first of them in product order; with
+    # the largest goods leading, it spreads them over several bundles.
+    def test_tie_heavy_rows(self, rng):
+        rows = [sorted((rng.randint(1, 3) for _ in range(m)), reverse=True)
+                for m in (8, 9, 10, 11, 8, 9, 8)]
+        rows.append([2] * 8)  # all ties: the first vector in enumeration order wins
+        for d, row in zip((3, 3, 3, 3, 4, 4, 5, 4), rows):
+            inst = make_instance([row])
+            ids = list(range(1, len(row) + 1))
+            res = mms_exhaustive(inst, 1, d)
+            assert res.value == mms(inst, 1, d).value
+            assert (res.value, res.witness) == first_maximiser(inst, 1, d, ids), (d, row)
+
+
+class TestCanonicalPrefixes:
+    def test_one_prefix_per_partition_in_lexicographic_order(self):
+        def stirling2(h, k):
+            if h == 0 or k == 0:
+                return int(h == k)
+            return k * stirling2(h - 1, k) + stirling2(h - 1, k - 1)
+
+        def relabel(vec):
+            labels = {}
+            return tuple(labels.setdefault(j, len(labels)) for j in vec)
+
+        for d in range(1, 7):
+            for h in range(7):
+                prefixes = list(_canonical_prefixes(h, d))
+                assert all(a < b for a, b in zip(prefixes, prefixes[1:]))
+                for p in prefixes:
+                    assert len(p) == h and (h == 0 or p[0] == 0)
+                    assert all(j <= max(p[:t], default=-1) + 1 for t, j in enumerate(p))
+                    assert max(p, default=0) < d
+                assert len(prefixes) == sum(stirling2(h, k) for k in range(d + 1))
+                assert {relabel(v) for v in product(range(d), repeat=h)} == set(prefixes)
 
 
 class TestPruningCrossCheck:
@@ -310,6 +358,23 @@ class TestOracleProperties:
             assert mms(inst, agent, n - k, rest).value >= base - 2 * x
             checked += 1
         assert checked > 15
+
+
+def test_solve_and_verify_leave_numpy_unimported():
+    # numpy is imported inside the reference enumerator only: importing the
+    # package, solving and verifying must not pay its import time or memory.
+    code = (
+        "import sys, mmskit\n"
+        "from mmskit.gen import default_corpus, generate\n"
+        "for spec in default_corpus(5):\n"
+        "    inst = generate(spec)\n"
+        "    alloc, _ = mmskit.solve(inst, mmskit.ALPHA_MAX)\n"
+        "    assert mmskit.check_alpha_mms(inst, alloc, mmskit.ALPHA_MAX).passed\n"
+        "sys.exit('numpy was imported' if 'numpy' in sys.modules else 0)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(mmskit.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env)
+    assert proc.returncode == 0
 
 
 class TestBudget:
