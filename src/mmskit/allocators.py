@@ -1,16 +1,18 @@
 """Bag-filling allocators and the case-split driver.
 
 All allocators operate on an ordered, normalized, irreducible instance and
-hand every agent a bundle she values at least `alpha` (exactly, in rational
+hand every agent a bundle she values at least `alpha` (exactly, in integer
 arithmetic). One engine, `_award_or_grow`, holds the bag-filling policy: a
 bag some waiting agent values at the threshold is awarded at once (priority
 class first, then the lowest index); otherwise the next unbagged good joins
-the lowest-index open bag. `bag_fill` and `approx_mms1` run it on bags seeded
-with pairs {k, 2n-k+1} of one high- and one low-ranked good. `approx_mms2`
-runs it on the pair bags with nothing to add, so it only awards, applies
-reductions to the rest, and then runs it on triple-seeded bags
-{k, 2n-k+1, 2n+k} one bag at a time: bag k grows until it is awarded before
-bag k+1 is looked at; it returns its allocation with the R2/R3/R5 counts.
+the lowest-index open bag. It decides on the rule engine's integer rows and
+bars (`transforms.rule_rows`) with the rules' own test, `meets_bar`.
+`bag_fill` and `approx_mms1` run it on bags seeded with pairs {k, 2n-k+1} of
+one high- and one low-ranked good. `approx_mms2` runs it on the pair bags
+with nothing to add, so it only awards, applies reductions to slices of the
+same rows, and then runs it on triple-seeded bags {k, 2n-k+1, 2n+k} one bag
+at a time: bag k grows until it is awarded before bag k+1 is looked at; it
+returns its allocation with the R2/R3/R5 counts.
 
 `solve` is the one driver: reduce, run one of the three allocators, lift.
 """
@@ -21,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Allocation, Bundle, Instance, is_ordered, partitions, rat_to_text, value
+from .core import Allocation, Bundle, Instance, exact, is_ordered, partitions, rat_to_text
 from .errors import ContractViolation, DomainError, GuaranteeViolation
 from .transforms import (
     OrderMap,
@@ -30,8 +32,8 @@ from .transforms import (
     apply_rule,
     first_rule,
     lift_allocation,
+    meets_bar,
     pick_recipient,
-    restrict,
     rule_rows,
     split_ids,
     to_delta_oni,
@@ -94,6 +96,7 @@ def c_bag_ids(k: int, n: int) -> tuple[int, int, int]:
 
 def classify_agents(inst: Instance, delta: Fraction) -> AgentClassification:
     """Classify agents of an ordered normalized instance by their starting bags."""
+    delta = exact(delta, "delta")
     if not is_ordered(inst):
         raise ContractViolation("classification requires an ordered instance")
     n, m = inst.n, inst.m
@@ -116,8 +119,8 @@ def classify_agents(inst: Instance, delta: Fraction) -> AgentClassification:
 
 
 def _award_or_grow(
-    inst: Instance,
-    alpha: Fraction,
+    rows: list[list[int]],
+    bars: list[int],
     state: BagState,
     waiting: set[int],
     priority: frozenset[int],
@@ -126,18 +129,20 @@ def _award_or_grow(
     """Run the bag-filling policy until every waiting agent is served or no
     move is left.
 
-    Awards win over growth: the lowest-index open bag some waiting agent
-    values at least alpha goes to the lowest-index such agent, priority
-    members first. Otherwise the first pool good joins the lowest-index open
-    bag. With neither move possible the loop stops, and the caller decides
-    whether that is a failure. Every move must keep the goods the state
-    started with partitioned.
+    Agent i values a bag at the threshold when `meets_bar(rows[i - 1],
+    bars[i - 1], bag)`. Awards win over growth: the lowest-index open bag
+    some waiting agent values at the threshold goes to the lowest-index such
+    agent, priority members first. Otherwise the first pool good joins the
+    lowest-index open bag. With neither move possible the loop stops, and the
+    caller decides whether that is a failure. Every move must keep the goods
+    the state started with partitioned.
     """
     goods = set().union(*state.groups())
     while waiting and state.bags:
         award = None
         for k in sorted(state.bags):
-            eligible = [i for i in sorted(waiting) if value(inst, i, state.bags[k]) >= alpha]
+            bag = state.bags[k]
+            eligible = [i for i in sorted(waiting) if meets_bar(rows[i - 1], bars[i - 1], bag)]
             if eligible:
                 award = (k, eligible)
                 break
@@ -188,7 +193,8 @@ def _fill_b_bags(
         satisfied={},
     )
     waiting = set(range(1, n + 1))
-    _award_or_grow(inst, alpha, state, waiting, priority, audit)
+    rows, bars, _ = rule_rows(inst, alpha)
+    _award_or_grow(rows, bars, state, waiting, priority, audit)
     if waiting:
         raise GuaranteeViolation(
             "bag filling ran out of goods with agents unsatisfied",
@@ -203,6 +209,7 @@ def bag_fill(inst: Instance, alpha: Fraction, *, audit: list | None = None) -> A
 
     Sound for ordered normalized irreducible instances with alpha <= 3/4.
     """
+    alpha = exact(alpha, "alpha")
     if alpha > Fraction(3, 4):
         raise DomainError("plain bag filling is only guaranteed for alpha <= 3/4")
     return _fill_b_bags(inst, alpha, frozenset(), audit)
@@ -226,6 +233,7 @@ def approx_mms1(
     Applicable when the n1_1 class is small: |n1_1| * (1/4 + delta/3) must
     not exceed n * (1/4 - delta), and delta <= 0.011.
     """
+    delta = exact(delta, "delta")
     if not Fraction(0) <= delta <= Fraction(11, 1000):
         raise ContractViolation("approx_mms1 requires 0 <= delta <= 11/1000")
     cls = classification if classification is not None else classify_agents(inst, delta)
@@ -247,6 +255,7 @@ def approx_mms2(
 
     Returns the allocation and how often each of R2, R3 and R5 fired.
     """
+    delta = exact(delta, "delta")
     if not Fraction(0) <= delta <= DELTA_DEFAULT:
         raise ContractViolation("approx_mms2 requires 0 <= delta <= 3/956")
     cls = classification if classification is not None else classify_agents(inst, delta)
@@ -262,15 +271,18 @@ def approx_mms2(
         bags={k: list(b_bag_ids(k, n)) for k in range(1, n + 1)}, pool=[], satisfied={}
     )
     waiting = set(range(1, n + 1))
-    _award_or_grow(inst, alpha, state, waiting, priority, audit)
+    rows_in, bars_in, _ = rule_rows(inst, alpha)
+    _award_or_grow(rows_in, bars_in, state, waiting, priority, audit)
 
-    # Stage 2: reductions on the residual instance, whose rows and goods stand
-    # for the allocator-input ids in `agents` and `goods`, so each award maps
-    # straight into the allocation. R5 prefers the priority classes; R2/R3 do not.
+    # Stage 2: reductions on the residual rows, sliced from the input's
+    # integer rows (a bar is per row, so a slice keeps it). They stand for the
+    # allocator-input ids in `agents` and `goods`, so each award maps straight
+    # into the allocation. R5 prefers the priority classes; R2/R3 do not.
     awarded_goods = {g for b in state.satisfied.values() for g in b}
     agents = sorted(waiting)
     goods = [g for g in range(1, m + 1) if g not in awarded_goods]
-    rows, bars, _ = rule_rows(restrict(inst, agents, goods), alpha)
+    rows = [[rows_in[a - 1][g - 1] for g in goods] for a in agents]
+    bars = [bars_in[a - 1] for a in agents]
     for rules, preferred in (((RuleId.R5,), priority), ((RuleId.R2, RuleId.R3), frozenset())):
         while True:
             # R2/R3 only ever shrink the two top goods, so R5 stays off for stage 3.
@@ -296,7 +308,7 @@ def approx_mms2(
     waiting = set(agents)
     for k in range(1, n3 + 1):
         state.bags = {k: cbags.pop(k)}
-        _award_or_grow(inst, alpha, state, waiting, priority, audit)
+        _award_or_grow(rows_in, bars_in, state, waiting, priority, audit)
         if state.bags:
             state.bags.update(cbags)
             raise GuaranteeViolation(
@@ -339,6 +351,7 @@ def solve(
     size of the n1_1 class, and lifts the result; at or below 3/4 it runs
     plain bag filling on the residual instance at threshold alpha.
     """
+    alpha, delta = exact(alpha, "alpha"), exact(delta, "delta")
     if alpha <= 0:
         raise DomainError("alpha must be positive")
     if alpha > ALPHA_MAX:

@@ -2,10 +2,19 @@
 
 All valuation magnitudes are `fractions.Fraction`; no operation anywhere in
 the toolkit rounds. Agent and good indices are 1-based, with good 1 the most
-valuable good in an ordered instance. Three rules used across the toolkit
-live here only: `scaled_ranking` (every ordered view and the oracle's
-integer weights), `partitions` (the covers-exactly-once check) and
-`canonical_json` (the bytes of every JSON file the toolkit writes).
+valuable good in an ordered instance. Rules used across the toolkit live
+here only:
+
+- `Instance.int_rows`, the integer view: each row as its numerators over the
+  lcm L of its denominators, derived once per instance. Every solver-side
+  decision reads it; verification keeps to `value` and Fractions.
+- `scaled_ranking`, every ordered view and the oracle's integer weights. A
+  subset's weights are the view's numerators divided by g = gcd(L, theirs),
+  over L // g: exactly the values times the lcm of the subset's
+  denominators, since lcm_j(L / gcd(a_j, L)) = L / gcd(L, a_S).
+- `exact`, the one gate on thresholds (alpha, eps, delta): int or Fraction.
+- `partitions` (the covers-exactly-once check) and `canonical_json` (the
+  bytes of every JSON file the toolkit writes).
 """
 
 from __future__ import annotations
@@ -14,12 +23,14 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from functools import cached_property
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import BoundsError, DomainError
 
-_RATIONAL_TERM = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RATIONAL_TERM = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_VALUE_TEXT = re.compile(r"([0-9]+)(?:/([0-9]+))?")
 
 
 def rat(x: int | str | Fraction) -> Fraction:
@@ -40,7 +51,7 @@ def rat(x: int | str | Fraction) -> Fraction:
     if isinstance(x, str):
         text = x.strip()
         terms = text.split("+")
-        if not terms or any(not _RATIONAL_TERM.match(t) for t in terms):
+        if not terms or any(not _RATIONAL_TERM.fullmatch(t) for t in terms):
             raise DomainError(f"cannot parse rational from {text!r}")
         try:
             return sum((Fraction(t) for t in terms), Fraction(0))
@@ -69,7 +80,7 @@ def jsonable_to_rat(v) -> Fraction:
             raise DomainError(f"instance values must be nonnegative, got {v}")
         return Fraction(v)
     if isinstance(v, str):
-        m = re.match(r"^(\d+)(?:/(\d+))?$", v.strip())
+        m = _VALUE_TEXT.fullmatch(v.strip())
         if not m:
             raise DomainError(f"cannot parse value {v!r}: expected 'p' or 'p/q' with p >= 0, q >= 1")
         p = int(m.group(1))
@@ -80,21 +91,32 @@ def jsonable_to_rat(v) -> Fraction:
     raise DomainError(f"instance values must be integers or 'p/q' strings, got {v!r}")
 
 
-def scaled_ranking(row: Sequence[Fraction], goods: Iterable[int]) -> tuple[list[int], list[int], int]:
-    """`goods` by non-increasing value in `row`, as (ids, weights, denom): denom
-    is the lcm of these goods' denominators and weight = value * denom exactly;
-    the stable reverse=True sort of the ints keeps ties on the lower good id."""
+def exact(x: int | Fraction, name: str) -> Fraction:
+    """A threshold parameter as a Fraction. Only ints and Fractions pass: a
+    float such as 0.7 is a different binary number, and every threshold
+    comparison in the toolkit is exact."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int) and not isinstance(x, bool):
+        return Fraction(x)
+    raise DomainError(f"{name} must be an int or a Fraction, got {x!r}")
+
+
+def scaled_ranking(
+    ints: Sequence[int], scale: int, goods: Iterable[int]
+) -> tuple[list[int], list[int], int]:
+    """`goods` by non-increasing value in one row of the integer view
+    (numerators `ints` over `scale`), as (ids, weights, denom): with
+    g = gcd(scale, the goods' numerators), denom = scale // g is the lcm of
+    the goods' denominators and weight = numerator // g = value * denom
+    exactly; the stable reverse=True sort keeps ties on the lower good id."""
     ids = sorted(goods)
-    vals = [row[g - 1] for g in ids]
-    denom = lcm(*[v.denominator for v in vals])
-    ints = [v.numerator * (denom // v.denominator) for v in vals]
-    pos = sorted(range(len(ids)), key=ints.__getitem__, reverse=True)
-    return [ids[k] for k in pos], [ints[k] for k in pos], denom
-
-
-def ranking(row: Sequence[Fraction], goods: Iterable[int]) -> list[int]:
-    """The ids of `scaled_ranking`: the order behind every ordered view."""
-    return scaled_ranking(row, goods)[0]
+    nums = [ints[g - 1] for g in ids]
+    g = gcd(scale, *nums)
+    if g > 1:
+        nums = [a // g for a in nums]
+    pos = sorted(range(len(ids)), key=nums.__getitem__, reverse=True)
+    return [ids[k] for k in pos], [nums[k] for k in pos], scale // g
 
 
 def partitions(groups: Iterable[Iterable[int]], ground: Iterable[int]) -> bool:
@@ -186,7 +208,7 @@ class Instance:
     """A fair-division instance: n agents, m goods, exact valuation matrix.
 
     An instance is its values and nothing more: two instances with equal
-    matrices are equal.
+    matrices are equal, whether or not their integer views were derived.
     """
 
     n: int
@@ -222,6 +244,17 @@ class Instance:
 
     def all_goods(self) -> Bundle:
         return Bundle(tuple(range(1, self.m + 1)))
+
+    @cached_property
+    def int_rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """The integer view: per row, (its numerators over L, L) with L the
+        lcm of the row's denominators. Derived on first read and kept on the
+        instance; not a field, so equality, hashing and `replace` ignore it."""
+        view = []
+        for row in self.values:
+            den = lcm(*[v.denominator for v in row])
+            view.append((tuple(v.numerator * (den // v.denominator) for v in row), den))
+        return tuple(view)
 
 
 def value(inst: Instance, agent: int, bundle: Bundle | Iterable[int]) -> Fraction:
@@ -313,6 +346,8 @@ def allocation_to_json(alloc: Allocation) -> str:
 def _goods_from_jsonable(goods) -> Bundle:
     if not isinstance(goods, list) or not all(_is_int(g) for g in goods):
         raise DomainError(f"bundles and 'unassigned' must be lists of integer good ids, got {goods!r}")
+    if len(set(goods)) != len(goods):
+        raise DomainError(f"a bundle or 'unassigned' lists a good id twice: {goods!r}")
     return Bundle.of(goods)
 
 

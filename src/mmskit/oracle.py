@@ -6,12 +6,13 @@ by enumeration: the leading goods run only over canonical labellings (one
 per partition of them), each adding its loads as a column to an outer-sum
 table of all assignments of the trailing goods (numpy, with int64 loads below
 2^62 and Python integers above). Both are deterministic functions of their
-inputs, and both are exact: they search the Python-int weights of
-`core.scaled_ranking` (values times the lcm of the searched goods'
-denominators) and scale back. `mms` memoizes its search on the key (scaled
-weights in ranking order, d, node budget), so a memoized share never depends
-on an earlier call's budget; `clear_cache` empties the memo. A result builds
-its witness partition only when the witness is read.
+inputs, and both are exact: they search the Python-int weights that
+`core.scaled_ranking` derives from the instance's integer view (values times
+the lcm of the searched goods' denominators, as the view's numerators divided
+by their gcd with the row's lcm) and scale back. `mms` memoizes its search
+on the key (scaled weights in ranking order, d, node budget), so a memoized
+share never depends on an earlier call's budget; `clear_cache` empties the
+memo. A result builds its witness partition only when the witness is read.
 """
 
 from __future__ import annotations
@@ -49,14 +50,19 @@ class MmsResult:
         return same and self.witness == other.witness
 
 
-def _resolve_subset(inst: Instance, subset: Bundle | None) -> list[int]:
+def _ranked(inst: Instance, agent: int, subset: Bundle | None) -> tuple[list[int], list[int], int]:
+    """`core.scaled_ranking` of the agent's row of the integer view over
+    `subset` (all goods when None), with agent and goods bounds-checked."""
+    if not 1 <= agent <= inst.n:
+        raise BoundsError(f"agent {agent} out of range [1, {inst.n}]")
     if subset is None:
-        return list(range(1, inst.m + 1))
-    ids = sorted(set(subset))
-    for g in ids:
-        if not 1 <= g <= inst.m:
-            raise BoundsError(f"good {g} out of range [1, {inst.m}]")
-    return ids
+        ids = range(1, inst.m + 1)
+    else:
+        ids = set(subset)
+        for g in ids:
+            if not 1 <= g <= inst.m:
+                raise BoundsError(f"good {g} out of range [1, {inst.m}]")
+    return scaled_ranking(*inst.int_rows[agent - 1], ids)
 
 
 def _lpt_choice(weights: list[int], d: int) -> tuple[int, list[int]]:
@@ -215,7 +221,7 @@ def mms(
 ) -> MmsResult:
     """Exact d-bundle maximin share of `subset` for one agent, with witness.
 
-    The witness is deterministic: goods are considered in `ranking` order
+    The witness is deterministic: goods are considered in `scaled_ranking` order
     (non-increasing value, ties by good id), bundles are tried lowest index
     first, and the first partition attaining the optimum is kept. Raises
     OracleBudgetExceeded rather than ever returning an uncertified value.
@@ -225,8 +231,7 @@ def mms(
     budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
     if budget < 0:
         raise DomainError(f"node budget must be nonnegative, got {budget}")
-    ids = _resolve_subset(inst, subset)
-    ordered_ids, weights, denom = scaled_ranking(inst.row(agent), ids)
+    ordered_ids, weights, denom = _ranked(inst, agent, subset)
     scaled_best, bundles = _search(tuple(weights), d, budget)
     return MmsResult(Fraction(scaled_best, denom), ordered_ids, bundles)
 
@@ -250,11 +255,11 @@ def mms_exhaustive(
     """
     if d <= 0:
         raise DomainError(f"d must be a positive integer, got {d}")
-    ids = _resolve_subset(inst, subset)
-    s = len(ids)
+    ranked, ranked_weights, denom = _ranked(inst, agent, subset)
+    s = len(ranked)
     if s > cap:
         raise DomainError(f"subset size {s} exceeds the exhaustive enumeration cap {cap}")
-    ranked, ranked_weights, denom = scaled_ranking(inst.row(agent), ids)
+    ids = sorted(ranked)
     weights = [w for _, w in sorted(zip(ranked, ranked_weights))]  # back to id order
 
     total_vecs = d**s

@@ -14,8 +14,10 @@ ordering (an ordered slot has no single source good when agents disagree),
 so trace steps are recorded in ordered-view coordinates and lifting re-picks
 concrete goods slot by slot, most valuable first. An ordering map is a
 plain tuple of per-agent permutations, checked to be bijections by the lift
-that uses it. The rules fire on integer rows (`rule_rows`), so the residual
-instance of `reduce` is built once, at the end.
+that uses it. Ordering, normalizing and the rules read the instance's
+integer view (`Instance.int_rows`): `rule_rows` turns it into numerators and
+bars, and `meets_bar` is the one threshold test, shared with bag filling, so
+the residual instance of `reduce` is built once, at the end.
 """
 
 from __future__ import annotations
@@ -23,10 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
-from math import lcm
 from typing import Collection, Iterable, Sequence
 
-from .core import Allocation, Bundle, Instance, ranking, rat_to_jsonable, value
+from .core import Allocation, Bundle, Instance, exact, rat_to_jsonable, scaled_ranking
 from .errors import ContractViolation, DomainError
 from .oracle import mms
 
@@ -47,7 +48,7 @@ BAG_AWARD = "BagAward"
 
 
 # omap[i][j] is the source good holding agent i+1's (j+1)-th largest value
-# under `ranking`; `_greedy_lift` checks the map where it consumes one.
+# under `scaled_ranking`; `_greedy_lift` checks the map where it consumes one.
 OrderMap = tuple[tuple[int, ...], ...]
 
 
@@ -93,13 +94,12 @@ class ReductionTrace:
 
 
 def order(inst: Instance) -> tuple[Instance, OrderMap]:
-    """Sort each agent's row by `ranking`; the map records which source good
-    landed in each slot."""
+    """Sort each agent's row by `scaled_ranking`; the map records which source
+    good landed in each slot."""
     perms = []
     rows = []
-    for i in range(inst.n):
-        row = inst.values[i]
-        idx = ranking(row, range(1, inst.m + 1))
+    for row, (ints, scale) in zip(inst.values, inst.int_rows):
+        idx = scaled_ranking(ints, scale, range(1, inst.m + 1))[0]
         perms.append(tuple(idx))
         rows.append(tuple(row[g - 1] for g in idx))
     return Instance(n=inst.n, m=inst.m, values=tuple(rows)), tuple(perms)
@@ -162,23 +162,23 @@ def normalize(inst: Instance, *, node_budget: int | None = None) -> Instance:
     partitions are worth exactly 1 (and hence her maximin share is exactly 1).
 
     Every agent must have a positive maximin share; goods in witness bundle B
-    are divided by the agent's value of B.
+    are divided by the agent's value of B: on the integer view, good g becomes
+    its numerator over the sum of B's numerators.
     """
     if inst.n == 0:
         return inst
     rows = []
-    for i in range(1, inst.n + 1):
+    for i, (ints, _) in enumerate(inst.int_rows, start=1):
         res = mms(inst, i, inst.n, node_budget=node_budget)
         if res.value == 0:
             raise DomainError(
                 f"agent {i} has zero maximin share; strip zero-share agents before normalizing"
             )
-        row = inst.values[i - 1]
-        new_row = list(row)
+        new_row = [Fraction(0)] * inst.m
         for b in res.witness:
-            bv = value(inst, i, b)
+            total = sum(ints[g - 1] for g in b)
             for g in b:
-                new_row[g - 1] = row[g - 1] / bv
+                new_row[g - 1] = Fraction(ints[g - 1], total)
         rows.append(tuple(new_row))
     return replace(inst, values=tuple(rows))
 
@@ -205,20 +205,26 @@ def rule_rows(
     inst: Instance, alpha: Fraction, shares: Sequence[Fraction] | None = None
 ) -> tuple[list[list[int]], list[int], list[int]]:
     """The rule engine's view of `inst`, each row divided by its share (1 by
-    default): per row, its numerators over the lcm L of its denominators, the
-    scale S = share * L they are read over, and the bar ceil(alpha * S) their
-    sum on a rule's goods must reach. Returns (rows, bars, scales); a share
-    must be a multiple of 1/L, as `mms` of a whole row is."""
+    default): per row, its numerators over the lcm L of its denominators (the
+    instance's integer view), the scale S = share * L they are read over, and
+    the bar ceil(alpha * S) their sum on a bag of goods must reach
+    (`meets_bar`). Returns (rows, bars, scales); a share must be a multiple of
+    1/L, as `mms` of a whole row is."""
     rows, bars, scales = [], [], []
-    for k, row in enumerate(inst.values):
-        den = lcm(*[v.denominator for v in row])
+    for k, (ints, den) in enumerate(inst.int_rows):
         scale = den if shares is None else den * shares[k]
         if scale.denominator != 1:
             raise ContractViolation(f"the share of row {k + 1} is not a multiple of 1/{den}")
-        rows.append([v.numerator * (den // v.denominator) for v in row])
+        rows.append(list(ints))
         bars.append(-(-alpha.numerator * scale.numerator // alpha.denominator))
         scales.append(scale.numerator)
     return rows, bars, scales
+
+
+def meets_bar(row: Sequence[int], bar: int, goods: Iterable[int]) -> bool:
+    """The one threshold test of the solver: the row's numerators on `goods`
+    (1-based) sum to at least its bar from `rule_rows`."""
+    return sum(row[g - 1] for g in goods) >= bar
 
 
 def _triggered(
@@ -228,7 +234,7 @@ def _triggered(
     and, ascending, the agents whose numerators on them reach their bars."""
     goods = tuple(g for g in rule_good_ids(rule, len(rows)) if g <= len(rows[0]))
     return goods, [i for i, (row, bar) in enumerate(zip(rows, bars), start=1)
-                   if sum(row[g - 1] for g in goods) >= bar]
+                   if meets_bar(row, bar, goods)]
 
 
 def pick_recipient(eligible: list[int], priority: Collection[int]) -> int:
@@ -311,6 +317,7 @@ def reduce(
     survivors' scale factors are recorded in the trace. Every surviving
     agent's maximin share in the result is at least 1 - 4*eps.
     """
+    eps = exact(eps, "eps")
     if eps < 0:
         raise DomainError("eps must be nonnegative")
     cur, omap = order(inst)

@@ -3,7 +3,10 @@
 Every check here recomputes what it needs from scratch with the exact
 oracle; nothing is trusted from the pipeline that produced the input. Each
 check starts by emptying the oracle's memo, so no share it reads was computed
-by an earlier solve in the same process. Reports are written with
+by an earlier solve in the same process. `check_alpha_mms` compares the
+received side in Fractions (`value` against alpha * share), not with the
+integer rows and bars the solver decides on, so the verdict does not rest on
+the engine it checks. Reports are written with
 `core.canonical_json`, the encoding of every toolkit file.
 """
 
@@ -12,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Allocation, Instance, canonical_json, is_ordered, rat_to_text, value
+from .core import Allocation, Instance, canonical_json, exact, is_ordered, rat_to_text, value
 from .errors import ContractViolation, DomainError
 from .oracle import clear_cache, mms
 from .allocators import classify_agents
@@ -58,6 +61,7 @@ def check_alpha_mms(
 ) -> VerificationReport:
     """Exactly compare each agent's received value against alpha times her
     maximin share. The allocation must be well-formed over the instance."""
+    alpha = exact(alpha, "alpha")
     clear_cache()
     if alloc.n_agents != inst.n:
         raise DomainError(f"allocation has {alloc.n_agents} agents, instance has {inst.n}")
@@ -83,6 +87,7 @@ def check_oni(inst: Instance, delta: Fraction, *, node_budget: int | None = None
     """Is the instance ordered, normalized (oracle-certified maximin share
     exactly 1 per agent), and (3/4 + delta)-irreducible? The first failing
     predicate is named."""
+    delta = exact(delta, "delta")
     clear_cache()
     if not is_ordered(inst):
         return OniReport(False, "not ordered")
@@ -145,6 +150,7 @@ def check_structural_lemmas(
     node_budget: int | None = None,
 ) -> StructuralReport:
     """Run the structural checks; preconditions are certified, not trusted."""
+    delta = exact(delta, "delta")
     clear_cache()
     if not is_ordered(inst):
         raise ContractViolation("structural checks require an ordered instance")

@@ -106,6 +106,21 @@ class TestErrorPaths:
         bad.write_text('{"bundles":[[1,2],[]],"unassigned":[]}')
         assert run(["verify", "-i", inst, "-a", bad, "--alpha", "1"]) == 1
 
+    def test_non_ascii_digits_usage_error(self, tmp_path):
+        inst = write_instance(tmp_path, [[1, 1]])
+        assert run(["solve", "--alpha", "\u0663/\u0664", "-i", inst]) == 2
+        inst.write_text('{"n":1,"m":2,"values":[["\uff11\uff12",1]]}', encoding="utf-8")
+        assert run(["solve", "--alpha", "3/4", "-i", inst]) == 2
+
+    def test_repeated_good_ids_usage_error(self, tmp_path, capsys):
+        inst = write_instance(tmp_path, [[1, 1, 1], [1, 1, 1]])
+        alloc = tmp_path / "alloc.json"
+        for text in ('{"bundles":[[2,1,1],[]],"unassigned":[3]}',
+                     '{"bundles":[[2,1],[]],"unassigned":[3,3]}'):
+            alloc.write_text(text)
+            assert run(["verify", "-i", inst, "-a", alloc, "--alpha", "1/2"]) == 2
+            assert "twice" in capsys.readouterr().err
+
     def test_wrongly_typed_allocation_fields_usage_error(self, tmp_path):
         inst = write_instance(tmp_path, [[1, 1], [1, 1]])
         bad = tmp_path / "bad-alloc.json"

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import inspect
+import json
 import pickle
+from dataclasses import replace
 from fractions import Fraction
 from math import lcm
 
@@ -24,7 +27,7 @@ from mmskit import (
     rat,
     value,
 )
-from mmskit.core import ranking, scaled_ranking
+from mmskit.core import scaled_ranking
 from conftest import make_instance, random_instance
 
 
@@ -46,6 +49,12 @@ class TestRationalParsing:
 
     def test_zero_denominator_is_domain_error(self):
         for text in ("1/0", "0/0", "3/4+1/00", "-2/0"):
+            with pytest.raises(DomainError):
+                rat(text)
+
+    def test_only_ascii_digits(self):
+        # Arabic-Indic three-quarters, fullwidth twelve, Devanagari seven.
+        for text in ("\u0663/\u0664", "\uff11\uff12", "3/4+\u0967", "3\n+4"):
             with pytest.raises(DomainError):
                 rat(text)
 
@@ -151,6 +160,81 @@ class TestInstanceConstruction:
         assert Instance(n=0, m=3, values=()).m == 3
 
 
+class TestIntegerView:
+    def test_rows_over_their_own_lcm(self):
+        inst = make_instance([["1/2", "1/3", 0], [4, 0, "5/4"], [0, 0, 0]])
+        assert inst.int_rows == (((3, 2, 0), 6), ((16, 0, 5), 4), ((0, 0, 0), 1))
+        assert Instance(n=2, m=0, values=((), ())).int_rows == (((), 1), ((), 1))
+
+    def test_equality_and_hash_ignore_the_view(self):
+        rows = [["1/2", "1/3"], [7, "2/9"]]
+        a, b = make_instance(rows), make_instance(rows)
+        a.int_rows  # derived on a only
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        assert {a: 1}[b] == 1
+        b.int_rows
+        assert a == b and hash(a) == hash(b)
+
+    def test_replace_gets_a_fresh_view(self):
+        a = make_instance([["1/2", "1/3"]])
+        assert a.int_rows == (((3, 2), 6),)
+        b = replace(a, values=((Fraction(1, 5), Fraction(0)),))
+        assert b.int_rows == (((1, 0), 5),)
+        assert a.int_rows == (((3, 2), 6),)
+
+
+def _threshold_calls():
+    """Each public entry point that takes alpha, eps or delta, called with a
+    bad value in that parameter and good values elsewhere."""
+    from mmskit import (
+        approx_mms1, approx_mms2, bag_fill, check_alpha_mms, check_oni,
+        check_structural_lemmas, classify_agents, reduce, solve, to_delta_oni,
+    )
+
+    inst = make_instance([[1, 1], [1, 1]])
+    alloc = Allocation(bundles=(Bundle.of([1]), Bundle.of([2])))
+    return {
+        ("solve", "alpha"): lambda x: solve(inst, x),
+        ("solve", "delta"): lambda x: solve(inst, Fraction(3, 4), delta=x),
+        ("reduce", "eps"): lambda x: reduce(inst, x),
+        ("to_delta_oni", "eps"): lambda x: to_delta_oni(inst, x),
+        ("bag_fill", "alpha"): lambda x: bag_fill(inst, x),
+        ("approx_mms1", "delta"): lambda x: approx_mms1(inst, x),
+        ("approx_mms2", "delta"): lambda x: approx_mms2(inst, x),
+        ("classify_agents", "delta"): lambda x: classify_agents(inst, x),
+        ("check_alpha_mms", "alpha"): lambda x: check_alpha_mms(inst, alloc, x),
+        ("check_oni", "delta"): lambda x: check_oni(inst, x),
+        ("check_structural_lemmas", "delta"): lambda x: check_structural_lemmas(inst, x),
+    }
+
+
+class TestExactThresholds:
+    def test_every_threshold_parameter_is_listed(self):
+        import mmskit
+
+        public = {
+            (name, param)
+            for name in mmskit.__all__
+            if inspect.isfunction(fn := getattr(mmskit, name))
+            for param in inspect.signature(fn).parameters
+            if param in ("alpha", "eps", "delta")
+        }
+        assert public == set(_threshold_calls())
+
+    @pytest.mark.parametrize("entry", sorted(_threshold_calls()), ids="-".join)
+    def test_rejects_all_but_int_and_fraction_before_any_search(self, entry, monkeypatch):
+        import mmskit.oracle
+
+        def no_search(*args):
+            raise AssertionError("searched before checking the threshold")
+
+        monkeypatch.setattr(mmskit.oracle, "_search", no_search)
+        call = _threshold_calls()[entry]
+        for bad in (0.75, 0.7, "3/4", True, None):
+            with pytest.raises(DomainError, match=f"^{entry[1]} must be an int or a Fraction"):
+                call(bad)
+
+
 class TestJson:
     def test_round_trip_bit_exact(self):
         inst = make_instance([[1, "2/3"], [0, 4]])
@@ -167,6 +251,20 @@ class TestJson:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(DomainError):
             instance_from_json('{"n":2,"m":1,"values":[[1]]}')
+
+    def test_values_take_only_ascii_digits(self):
+        for v in ("\uff11\uff12", "\u0663/\u0664", "1/\u0664"):
+            with pytest.raises(DomainError):
+                instance_from_json(f'{{"n":1,"m":1,"values":[[{json.dumps(v)}]]}}')
+        assert instance_from_json('{"n":1,"m":1,"values":[[" 3/4 "]]}').values == ((Fraction(3, 4),),)
+
+    def test_allocation_rejects_repeated_ids(self):
+        for text in (
+            '{"bundles":[[2,1,1]],"unassigned":[3]}',
+            '{"bundles":[[2,1]],"unassigned":[3,3]}',
+        ):
+            with pytest.raises(DomainError, match="twice"):
+                allocation_from_json(text)
 
     def test_rejects_boolean_counts(self):
         with pytest.raises(DomainError):
@@ -219,9 +317,11 @@ class TestScaledRanking:
     @given(_row_and_goods())
     def test_matches_fraction_sort_and_exact_scaling(self, case):
         row, goods = case
-        ids, weights, denom = scaled_ranking(row, goods)
+        (ints, scale), = Instance(n=1, m=len(row), values=(row,)).int_rows
+        assert scale == lcm(*(v.denominator for v in row))
+        ids, weights, denom = scaled_ranking(ints, scale, goods)
         assert ids == sorted(sorted(goods), key=lambda g: row[g - 1], reverse=True)
-        assert ranking(row, goods) == ids
+        # The subset's own lcm, not the row's: the oracle's memo keys read it.
         assert denom == lcm(*(row[g - 1].denominator for g in goods))
         assert weights == [int(row[g - 1] * denom) for g in ids]
         assert all(Fraction(w, denom) == row[g - 1] for g, w in zip(ids, weights))

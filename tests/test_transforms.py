@@ -25,7 +25,7 @@ from mmskit import (
     to_delta_oni,
     value,
 )
-from mmskit.transforms import first_rule, restrict, rule_good_ids, rule_rows
+from mmskit.transforms import first_rule, meets_bar, restrict, rule_good_ids, rule_rows
 
 from conftest import make_instance, random_instance
 
@@ -254,6 +254,35 @@ def _fraction_first_rule(scaled, rules, alpha, priority):
     return None
 
 
+@st.composite
+def _bag_cases(draw):
+    """A row with zeros and mixed denominators, a share on its grid (or none,
+    read as 1), a threshold 3/4 + eps and any good set of the row; the last
+    good may be set so the bag meets the threshold exactly or misses by the
+    smallest step of the row's grid."""
+    m = draw(st.integers(0, 12))
+    row = draw(st.lists(st.one_of(st.just(Fraction(0)), _VALUES), min_size=m, max_size=m))
+    alpha = Fraction(3, 4) + draw(_EPSILONS)
+    bag = draw(st.lists(st.integers(1, m), unique=True)) if m else []
+    share = None
+    if draw(st.booleans()):
+        den = _lcm_of(row)
+        share = Fraction(max(sum(row, Fraction(0)) * den // draw(st.integers(1, 5)), 1), den)
+    mode = draw(st.sampled_from(["exact", "short", "free"]))
+    if bag and mode != "free":
+        last = bag[-1] - 1
+        den = _lcm_of(row[:last] + row[last + 1:])
+        if share is not None:
+            share = Fraction(max(sum(row, Fraction(0)) * den // draw(st.integers(1, 5)), 1), den)
+        target = alpha * (1 if share is None else share)
+        if mode == "short":
+            target = Fraction(ceil(target * den) - 1, den)
+        rest = sum((row[g - 1] for g in bag[:-1]), Fraction(0))
+        if target >= rest:
+            row[last] = target - rest
+    return row, share, alpha, bag
+
+
 class TestIntegerTrigger:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(_engine_cases(), st.booleans())
@@ -266,6 +295,17 @@ class TestIntegerTrigger:
         else:  # the engine divides by the shares through the bars
             ints, bars, _ = rule_rows(Instance.from_rows(rows), alpha, shares)
         assert first_rule(ints, bars, rules, priority) == expected
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_bag_cases())
+    def test_bag_test_matches_fraction_definition(self, case):
+        # The bag-filling question, on any good set of the row: the integer
+        # test must say exactly what value(bag) >= alpha * share says.
+        row, share, alpha, bag = case
+        inst = Instance.from_rows([row])
+        rows, bars, _ = rule_rows(inst, alpha, None if share is None else [share])
+        expected = value(inst, 1, bag) >= alpha * (1 if share is None else share)
+        assert meets_bar(rows[0], bars[0], bag) is expected
 
     def test_share_off_the_row_grid_rejected(self):
         inst = make_instance([["1/2", "1/4"]])
