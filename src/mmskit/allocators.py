@@ -102,17 +102,17 @@ def classify_agents(inst: Instance, delta: Fraction) -> AgentClassification:
     n, m = inst.n, inst.m
     if m < 2 * n:
         raise ContractViolation(f"classification requires m >= 2n, got n={n}, m={m}")
-    one = Fraction(1)
     heavy_tail = Fraction(1, 4) - 5 * delta
     n1, n2, n1_1, n1_2 = set(), set(), set(), set()
-    for i in range(1, n + 1):
-        row = inst.values[i - 1]
-        if any(row[k - 1] + row[2 * n - k] > one for k in range(1, n + 1)):
+    for i, (nums, den) in enumerate(inst.int_rows, start=1):
+        # Over L = den: a pair beats 1 when its numerators beat L.
+        if any(nums[k - 1] + nums[2 * n - k] > den for k in range(1, n + 1)):
             n2.add(i)
             continue
         n1.add(i)
-        tail = row[2 * n] if m >= 2 * n + 1 else Fraction(0)
-        (n1_1 if tail >= heavy_tail else n1_2).add(i)
+        tail = nums[2 * n] if m >= 2 * n + 1 else 0
+        heavy = tail * heavy_tail.denominator >= heavy_tail.numerator * den
+        (n1_1 if heavy else n1_2).add(i)
     return AgentClassification(
         n1=frozenset(n1), n2=frozenset(n2), n1_1=frozenset(n1_1), n1_2=frozenset(n1_2)
     )

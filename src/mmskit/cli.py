@@ -2,7 +2,8 @@
 
 Subcommands: gen, mms, reduce, solve, verify, bench. Thresholds are accepted
 only as exact rational text ("3/4", "3/4+3/3836"); float syntax is rejected
-so file outputs stay bit-reproducible. Exit codes: 0 success (and, for
+so file outputs stay bit-reproducible. Integer options take ASCII digits
+only, as the rational parser does. Exit codes: 0 success (and, for
 verify, a passing report), 1 failed verification (for bench: some row did
 not pass), 2 usage error, 3 oracle budget exceeded, 4 internal guarantee
 violation (state dump written).
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 import time
 from fractions import Fraction
@@ -39,13 +41,18 @@ from .transforms import to_delta_oni
 from .verify import check_alpha_mms
 
 
+def _int(text: str) -> int:
+    """An integer option, `-?[0-9]+` after stripping whitespace as in `rat`:
+    `int` alone would take any Unicode decimal digit."""
+    if not re.fullmatch(r"-?[0-9]+", text.strip()):
+        raise argparse.ArgumentTypeError(f"expected an integer in ASCII digits, got {text!r}")
+    return int(text)
+
+
 def _parse_range(text: str) -> tuple[int, int]:
     """Accept "5" or "2:6"."""
-    if ":" in text:
-        lo, hi = text.split(":", 1)
-        return int(lo), int(hi)
-    k = int(text)
-    return k, k
+    lo, colon, hi = text.partition(":")
+    return _int(lo), _int(hi if colon else lo)
 
 
 def _read_instance(path: str):
@@ -60,15 +67,9 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _cmd_gen(args) -> int:
-    spec = GenSpec(
-        seed=args.seed,
-        n_range=_parse_range(args.n),
-        m_range=_parse_range(args.m),
-        family=args.family,
-        grid=args.grid,
-    )
-    inst = generate(spec)
-    _emit(instance_to_json(inst), args.output)
+    spec = GenSpec(seed=args.seed, n_range=args.n, m_range=args.m,
+                   family=args.family, grid=args.grid)
+    _emit(instance_to_json(generate(spec)), args.output)
     return 0
 
 
@@ -170,7 +171,7 @@ def _cmd_bench(args) -> int:
     alpha, delta = rat(args.alpha), rat(args.delta)
     # Bad thresholds or budgets are one usage error, not a failure on every row;
     # one agent with no goods reaches the budget check in `mms` without a search.
-    solve(Instance(n=1, m=0, values=((),)), alpha, delta=delta, node_budget=args.budget)
+    solve(Instance(n=1, m=0, int_rows=(((), 1),)), alpha, delta=delta, node_budget=args.budget)
     payloads = [(str(manifest_path.parent), e, alpha, delta, args.budget) for e in entries]
     if args.jobs > 1:
         with Pool(args.jobs) as pool:
@@ -220,23 +221,23 @@ def build_parser() -> argparse.ArgumentParser:
         if budget:
             p.add_argument(
                 "--budget",
-                type=int,
+                type=_int,
                 help=f"oracle node budget (default {DEFAULT_NODE_BUDGET})",
             )
 
     p = sub.add_parser("gen", help="generate a seeded instance file")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_int, required=True)
     p.add_argument("--family", choices=FAMILIES, default="uniform")
-    p.add_argument("--n", required=True, help="agent count or range lo:hi")
-    p.add_argument("--m", required=True, help="good count or range lo:hi")
-    p.add_argument("--grid", type=int, default=100, help="max integer value (default 100)")
+    p.add_argument("--n", type=_parse_range, required=True, help="agent count or range lo:hi")
+    p.add_argument("--m", type=_parse_range, required=True, help="good count or range lo:hi")
+    p.add_argument("--grid", type=_int, default=100, help="max integer value (default 100)")
     add_common(p, budget=False)
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("mms", help="exact maximin share of one agent, with witness")
     p.add_argument("-i", "--input", required=True)
-    p.add_argument("--agent", type=int, default=1)
-    p.add_argument("-d", type=int, default=None, help="bundle count (default: n)")
+    p.add_argument("--agent", type=_int, default=1)
+    p.add_argument("-d", type=_int, default=None, help="bundle count (default: n)")
     add_common(p)
     p.set_defaults(func=_cmd_mms)
 
@@ -267,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-i", "--input", required=True, help="corpus manifest path")
     p.add_argument("--alpha", default=rat_to_text(ALPHA_MAX))
     p.add_argument("--delta", default=rat_to_text(DELTA_DEFAULT))
-    p.add_argument("--jobs", type=int, default=1, help="worker processes, at least 1 (default 1)")
+    p.add_argument("--jobs", type=_int, default=1, help="worker processes, at least 1 (default 1)")
     add_common(p)
     p.set_defaults(func=_cmd_bench)
 

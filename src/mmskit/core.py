@@ -1,13 +1,13 @@
 """Exact-arithmetic data model: instances, bundles, partitions, allocations.
 
-All valuation magnitudes are `fractions.Fraction`; no operation anywhere in
-the toolkit rounds. Agent and good indices are 1-based, with good 1 the most
-valuable good in an ordered instance. Rules used across the toolkit live
-here only:
+No operation anywhere in the toolkit rounds. An instance is stored as its
+integer view, each row as its numerators over L, the lcm of its reduced
+denominators; its `fractions.Fraction` values are derived on first read.
+Agent and good indices are 1-based, with good 1 the most valuable good in an
+ordered instance. Rules used across the toolkit live here only:
 
-- `Instance.int_rows`, the integer view: each row as its numerators over the
-  lcm L of its denominators, derived once per instance. Every solver-side
-  decision reads it; verification keeps to `value` and Fractions.
+- `int_row`, the one place a row's lcm is computed: values p/q to the view
+  (numerators, L) in lowest terms, so equal matrices have equal views.
 - `scaled_ranking`, every ordered view and the oracle's integer weights. A
   subset's weights are the view's numerators divided by g = gcd(L, theirs),
   over L // g: exactly the values times the lcm of the subset's
@@ -62,32 +62,32 @@ def rat(x: int | str | Fraction) -> Fraction:
 
 def rat_to_jsonable(x: Fraction) -> int | str:
     """Encode a rational as a JSON int, or "p/q" text when non-integral."""
-    if x.denominator == 1:
-        return int(x)
-    return f"{x.numerator}/{x.denominator}"
+    return _ratio_jsonable(x.numerator, x.denominator)
+
+
+def _ratio_jsonable(a: int, den: int) -> int | str:
+    g = gcd(a, den)
+    return a // g if g == den else f"{a // g}/{den // g}"
 
 
 def rat_to_text(x: Fraction) -> str:
     return str(rat_to_jsonable(x))
 
 
-def jsonable_to_rat(v) -> Fraction:
-    """Decode the instance-format value encoding: int, or "p/q" with p >= 0, q >= 1."""
-    if isinstance(v, bool) or isinstance(v, float):
-        raise DomainError(f"instance values must be integers or 'p/q' strings, got {v!r}")
-    if isinstance(v, int):
+def _jsonable_to_pair(v) -> tuple[int, int]:
+    """An instance-file value, an int or "p/q" text with p >= 0, q >= 1, as (p, q)."""
+    if isinstance(v, int) and not isinstance(v, bool):
         if v < 0:
             raise DomainError(f"instance values must be nonnegative, got {v}")
-        return Fraction(v)
+        return v, 1
     if isinstance(v, str):
         m = _VALUE_TEXT.fullmatch(v.strip())
         if not m:
             raise DomainError(f"cannot parse value {v!r}: expected 'p' or 'p/q' with p >= 0, q >= 1")
-        p = int(m.group(1))
         q = int(m.group(2)) if m.group(2) else 1
         if q < 1:
             raise DomainError(f"denominator must be >= 1 in {v!r}")
-        return Fraction(p, q)
+        return int(m.group(1)), q
     raise DomainError(f"instance values must be integers or 'p/q' strings, got {v!r}")
 
 
@@ -100,6 +100,17 @@ def exact(x: int | Fraction, name: str) -> Fraction:
     if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     raise DomainError(f"{name} must be an int or a Fraction, got {x!r}")
+
+
+def int_row(pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...], int]:
+    """A row of values p/q (ints, p >= 0, q >= 1) as its numerators over L,
+    the lcm of the reduced denominators: over the lcm D of the q's, divided
+    by g = gcd(D, *numerators), as every common denominator is a multiple of L."""
+    pairs = list(pairs)
+    den = lcm(*[q for _, q in pairs])
+    nums = [p * (den // q) for p, q in pairs]
+    g = gcd(den, *nums)
+    return (tuple(nums), den) if g == 1 else (tuple(a // g for a in nums), den // g)
 
 
 def scaled_ranking(
@@ -205,76 +216,59 @@ class Allocation:
 
 @dataclass(frozen=True)
 class Instance:
-    """A fair-division instance: n agents, m goods, exact valuation matrix.
-
-    An instance is its values and nothing more: two instances with equal
-    matrices are equal, whether or not their integer views were derived.
-    """
+    """n agents, m goods and the integer view of the valuation matrix: per
+    agent, (numerators, L) in lowest terms, as `int_row` builds it. Equal
+    matrices give equal views, hence equal instances with equal hashes."""
 
     n: int
     m: int
-    values: tuple[tuple[Fraction, ...], ...]
+    int_rows: tuple[tuple[tuple[int, ...], int], ...]
 
     def __post_init__(self):
-        if self.n < 0 or self.m < 0:
-            raise DomainError("n and m must be nonnegative")
-        vals = tuple(tuple(row) for row in self.values)
-        object.__setattr__(self, "values", vals)
-        if len(vals) != self.n or any(len(row) != self.m for row in vals):
+        try:
+            view = tuple((tuple(nums), den) for nums, den in self.int_rows)
+        except (TypeError, ValueError):
+            raise DomainError("int_rows must be (numerators, L) pairs") from None
+        object.__setattr__(self, "int_rows", view)
+        if min(self.n, self.m) < 0 or len(view) != self.n or any(len(a) != self.m for a, _ in view):
             raise DomainError(f"value matrix shape does not match n={self.n}, m={self.m}")
-        for row in vals:
-            for v in row:
-                if not isinstance(v, Fraction):
-                    raise DomainError(f"values must be Fractions, got {type(v).__name__}")
-                if v.numerator < 0:  # a Fraction's denominator is always positive
-                    raise DomainError(f"values must be nonnegative, got {v}")
+        for nums, den in view:
+            if (type(den) is not int or not set(map(type, nums)) <= {int} or den < 1
+                    or min(nums, default=0) < 0 or gcd(den, *nums) != 1):
+                raise DomainError(f"values must be nonnegative ints over an int L >= 1 in "
+                                  f"lowest terms, got {nums!r} over {den!r}")
 
     @staticmethod
     def from_rows(rows: Iterable[Iterable[int | str | Fraction]]) -> "Instance":
         """Build an instance from per-agent value rows (ints, 'p/q' text, or Fractions)."""
-        mat = tuple(tuple(rat(v) for v in row) for row in rows)
-        n = len(mat)
-        m = len(mat[0]) if n else 0
-        return Instance(n=n, m=m, values=mat)
+        view = tuple(int_row((v.numerator, v.denominator) for v in map(rat, row)) for row in rows)
+        return Instance(n=len(view), m=len(view[0][0]) if view else 0, int_rows=view)
 
-    def row(self, agent: int) -> tuple[Fraction, ...]:
-        if not 1 <= agent <= self.n:
-            raise BoundsError(f"agent {agent} out of range [1, {self.n}]")
-        return self.values[agent - 1]
+    @cached_property
+    def values(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The valuation matrix in Fractions, derived from the view on first read."""
+        return tuple(tuple(Fraction(a, den) for a in nums) for nums, den in self.int_rows)
 
     def all_goods(self) -> Bundle:
         return Bundle(tuple(range(1, self.m + 1)))
 
-    @cached_property
-    def int_rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """The integer view: per row, (its numerators over L, L) with L the
-        lcm of the row's denominators. Derived on first read and kept on the
-        instance; not a field, so equality, hashing and `replace` ignore it."""
-        view = []
-        for row in self.values:
-            den = lcm(*[v.denominator for v in row])
-            view.append((tuple(v.numerator * (den // v.denominator) for v in row), den))
-        return tuple(view)
-
 
 def value(inst: Instance, agent: int, bundle: Bundle | Iterable[int]) -> Fraction:
-    """Exact additive value of a bundle to an agent; the empty bundle is 0."""
-    row = inst.row(agent)
-    total = Fraction(0)
+    """Exact additive value of a bundle to an agent: its numerators' sum over L."""
+    if not 1 <= agent <= inst.n:
+        raise BoundsError(f"agent {agent} out of range [1, {inst.n}]")
+    nums, den = inst.int_rows[agent - 1]
+    total = 0
     for g in bundle:
         if not 1 <= g <= inst.m:
             raise BoundsError(f"good {g} out of range [1, {inst.m}]")
-        total += row[g - 1]
-    return total
+        total += nums[g - 1]
+    return Fraction(total, den)
 
 
 def is_ordered(inst: Instance) -> bool:
     """True iff every agent's values are non-increasing in the good index."""
-    for row in inst.values:
-        for j in range(1, inst.m):
-            if row[j - 1] < row[j]:
-                return False
-    return True
+    return all(a >= b for nums, _ in inst.int_rows for a, b in zip(nums, nums[1:]))
 
 
 # --- JSON interchange -------------------------------------------------------
@@ -289,11 +283,9 @@ def _is_int(x) -> bool:
 
 
 def instance_to_jsonable(inst: Instance) -> dict:
-    return {
-        "n": inst.n,
-        "m": inst.m,
-        "values": [[rat_to_jsonable(v) for v in row] for row in inst.values],
-    }
+    rows = [list(nums) if den == 1 else [_ratio_jsonable(a, den) for a in nums]
+            for nums, den in inst.int_rows]
+    return {"n": inst.n, "m": inst.m, "values": rows}
 
 
 def canonical_json(obj) -> str:
@@ -324,12 +316,12 @@ def instance_from_json(text: str) -> Instance:
         raise DomainError("n and m must be integers")
     if not isinstance(vals, list) or len(vals) != n:
         raise DomainError("values must be a list of n rows")
-    mat = []
+    view = []
     for row in vals:
         if not isinstance(row, list) or len(row) != m:
             raise DomainError("each value row must be a list of m entries")
-        mat.append(tuple(jsonable_to_rat(v) for v in row))
-    return Instance(n=n, m=m, values=tuple(mat))
+        view.append(int_row(_jsonable_to_pair(v) for v in row))
+    return Instance(n=n, m=m, int_rows=tuple(view))
 
 
 def allocation_to_jsonable(alloc: Allocation) -> dict:

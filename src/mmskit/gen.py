@@ -18,10 +18,9 @@ sharp cliff to fillers below 1/12.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
-from .core import Instance, canonical_json, instance_to_json
+from .core import Instance, canonical_json, instance_to_json, int_row
 from .errors import DomainError
 
 _MASK64 = (1 << 64) - 1
@@ -280,7 +279,7 @@ def generate(spec: GenSpec) -> Instance:
     The instance keeps the good count the family drew, also with no agents."""
     rng = SplitMix64(spec.seed)
     m, rows = _FAMILY_BUILDERS[spec.family](rng, spec)
-    return Instance(n=len(rows), m=m, values=[[Fraction(v) for v in row] for row in rows])
+    return Instance(n=len(rows), m=m, int_rows=tuple(int_row((v, 1) for v in row) for row in rows))
 
 
 _GRID_CYCLE = (100, 100, 50, 5)

@@ -14,20 +14,21 @@ ordering (an ordered slot has no single source good when agents disagree),
 so trace steps are recorded in ordered-view coordinates and lifting re-picks
 concrete goods slot by slot, most valuable first. An ordering map is a
 plain tuple of per-agent permutations, checked to be bijections by the lift
-that uses it. Ordering, normalizing and the rules read the instance's
-integer view (`Instance.int_rows`): `rule_rows` turns it into numerators and
-bars, and `meets_bar` is the one threshold test, shared with bag filling, so
-the residual instance of `reduce` is built once, at the end.
+that uses it. Transformations permute, slice or rescale the stored integer
+view (`Instance.int_rows`), with `core.int_row` to put new rows in lowest
+terms. `rule_rows` turns it into numerators and bars, and `meets_bar` is the
+one threshold test, shared with bag filling, so the residual instance of
+`reduce` is built once, at the end.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Collection, Iterable, Sequence
 
-from .core import Allocation, Bundle, Instance, exact, rat_to_jsonable, scaled_ranking
+from .core import Allocation, Bundle, Instance, exact, int_row, rat_to_jsonable, scaled_ranking
 from .errors import ContractViolation, DomainError
 from .oracle import mms
 
@@ -95,14 +96,15 @@ class ReductionTrace:
 
 def order(inst: Instance) -> tuple[Instance, OrderMap]:
     """Sort each agent's row by `scaled_ranking`; the map records which source
-    good landed in each slot."""
+    good landed in each slot. A row in lowest terms ranks its own numerators,
+    so the permuted row is in lowest terms too."""
     perms = []
     rows = []
-    for row, (ints, scale) in zip(inst.values, inst.int_rows):
-        idx = scaled_ranking(ints, scale, range(1, inst.m + 1))[0]
+    for ints, scale in inst.int_rows:
+        idx, weights, den = scaled_ranking(ints, scale, range(1, inst.m + 1))
         perms.append(tuple(idx))
-        rows.append(tuple(row[g - 1] for g in idx))
-    return Instance(n=inst.n, m=inst.m, values=tuple(rows)), tuple(perms)
+        rows.append((tuple(weights), den))
+    return Instance(n=inst.n, m=inst.m, int_rows=tuple(rows)), tuple(perms)
 
 
 def _greedy_lift(omap: OrderMap, m: int, alloc: Allocation) -> Allocation:
@@ -174,13 +176,13 @@ def normalize(inst: Instance, *, node_budget: int | None = None) -> Instance:
             raise DomainError(
                 f"agent {i} has zero maximin share; strip zero-share agents before normalizing"
             )
-        new_row = [Fraction(0)] * inst.m
+        pairs = [(0, 1)] * inst.m
         for b in res.witness:
             total = sum(ints[g - 1] for g in b)
             for g in b:
-                new_row[g - 1] = Fraction(ints[g - 1], total)
-        rows.append(tuple(new_row))
-    return replace(inst, values=tuple(rows))
+                pairs[g - 1] = (ints[g - 1], total)
+        rows.append(int_row(pairs))
+    return Instance(n=inst.n, m=inst.m, int_rows=tuple(rows))
 
 
 def rule_good_ids(rule: RuleId, n: int) -> tuple[int, ...]:
@@ -264,11 +266,9 @@ def first_rule(
 def restrict(inst: Instance, agents: Iterable[int], goods: Iterable[int]) -> Instance:
     """Sub-instance on the listed agent and good indices, in the listed order."""
     agents, goods = list(agents), list(goods)
-    return Instance(
-        n=len(agents),
-        m=len(goods),
-        values=tuple(tuple(inst.values[a - 1][g - 1] for g in goods) for a in agents),
-    )
+    view = [inst.int_rows[a - 1] for a in agents]
+    rows = tuple(int_row((nums[g - 1], den) for g in goods) for nums, den in view)
+    return Instance(n=len(agents), m=len(goods), int_rows=rows)
 
 
 def split_ids(ids: Sequence[int], positions: Collection[int]) -> tuple[list[int], list[int]]:
@@ -353,8 +353,8 @@ def reduce(
         trace.steps.append(
             TraceStep(rule=rule, agent=who, goods=Bundle.of(award), threshold=threshold)
         )
-    values = tuple(tuple(Fraction(a, s) for a in row) for row, s in zip(rows, scales))
-    return Instance(n=len(rows), m=len(goods), values=values), trace
+    view = tuple(int_row((a, s) for a in row) for row, s in zip(rows, scales))
+    return Instance(n=len(rows), m=len(goods), int_rows=view), trace
 
 
 def to_delta_oni(

@@ -3,10 +3,10 @@
 Every check here recomputes what it needs from scratch with the exact
 oracle; nothing is trusted from the pipeline that produced the input. Each
 check starts by emptying the oracle's memo, so no share it reads was computed
-by an earlier solve in the same process. `check_alpha_mms` compares the
-received side in Fractions (`value` against alpha * share), not with the
-integer rows and bars the solver decides on, so the verdict does not rest on
-the engine it checks. Reports are written with
+by an earlier solve in the same process. `check_alpha_mms` compares exact
+rationals, `value` of the received bundle against alpha * share, and never
+reads the rule engine's rows and bars the solver decides on, so the verdict
+does not rest on the engine it checks. Reports are written with
 `core.canonical_json`, the encoding of every toolkit file.
 """
 
@@ -19,7 +19,7 @@ from .core import Allocation, Instance, canonical_json, exact, is_ordered, rat_t
 from .errors import ContractViolation, DomainError
 from .oracle import clear_cache, mms
 from .allocators import classify_agents
-from .transforms import REDUCTION_RULES, first_rule, rule_rows
+from .transforms import REDUCTION_RULES, RuleId, first_rule, rule_rows
 
 
 @dataclass(frozen=True)
@@ -77,6 +77,19 @@ def check_alpha_mms(
     return VerificationReport(alpha=alpha, agents=tuple(checks), passed=passed)
 
 
+def _off_share(inst: Instance, node_budget: int | None) -> tuple[int, Fraction] | None:
+    """The first agent whose certified maximin share is not 1, and that share."""
+    shares = ((i, mms(inst, i, inst.n, node_budget=node_budget).value)
+              for i in range(1, inst.n + 1))
+    return next(((i, share) for i, share in shares if share != 1), None)
+
+
+def _fired_rule(inst: Instance, delta: Fraction) -> tuple[RuleId, int] | None:
+    """The first reduction rule some agent triggers at 3/4 + delta, and the agent."""
+    rows, bars, _ = rule_rows(inst, Fraction(3, 4) + delta)
+    return first_rule(rows, bars, REDUCTION_RULES)
+
+
 @dataclass(frozen=True)
 class OniReport:
     ok: bool
@@ -91,15 +104,10 @@ def check_oni(inst: Instance, delta: Fraction, *, node_budget: int | None = None
     clear_cache()
     if not is_ordered(inst):
         return OniReport(False, "not ordered")
-    for i in range(1, inst.n + 1):
-        share = mms(inst, i, inst.n, node_budget=node_budget).value
-        if share != 1:
-            return OniReport(
-                False, f"agent {i} has maximin share {rat_to_text(share)}, expected 1"
-            )
-    rows, bars, _ = rule_rows(inst, Fraction(3, 4) + delta)
-    fired = first_rule(rows, bars, REDUCTION_RULES)
-    if fired is not None:
+    if (off := _off_share(inst, node_budget)) is not None:
+        i, share = off
+        return OniReport(False, f"agent {i} has maximin share {rat_to_text(share)}, expected 1")
+    if (fired := _fired_rule(inst, delta)) is not None:
         rule, agent = fired
         return OniReport(False, f"{rule.value} applicable to agent {agent}")
     return OniReport(True, None)
@@ -154,19 +162,17 @@ def check_structural_lemmas(
     clear_cache()
     if not is_ordered(inst):
         raise ContractViolation("structural checks require an ordered instance")
-    for i in range(1, inst.n + 1):
-        share = mms(inst, i, inst.n, node_budget=node_budget).value
-        if share != 1:
-            raise ContractViolation(
-                f"structural checks require a normalized instance; agent {i} has share {share}"
-            )
+    if (off := _off_share(inst, node_budget)) is not None:
+        i, share = off
+        raise ContractViolation(
+            f"structural checks require a normalized instance; agent {i} has share {share}"
+        )
 
     n, m = inst.n, inst.m
     violations = list(_pair_bound_violations(inst))
     pair_ok = not violations
 
-    rows, bars, _ = rule_rows(inst, Fraction(3, 4) + delta)
-    irreducible = first_rule(rows, bars, REDUCTION_RULES) is None
+    irreducible = _fired_rule(inst, delta) is None
     min_goods_ok: bool | None = None
     tail_ok: bool | None = None
     if irreducible:

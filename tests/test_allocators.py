@@ -310,11 +310,11 @@ class TestMainDriver:
         assert {"mms1", "mms2"} <= seen
 
     def test_empty_instances(self):
-        empty = Instance(n=0, m=0, values=())
+        empty = Instance(n=0, m=0, int_rows=())
         assert solve(empty, ALPHA_MAX)[0] == type(solve(empty, ALPHA_MAX)[0])(
             bundles=(), unassigned=Bundle()
         )
-        goods_only = Instance(n=0, m=3, values=())
+        goods_only = Instance(n=0, m=3, int_rows=())
         alloc = solve(goods_only, ALPHA_MAX)[0]
         assert alloc.unassigned == Bundle.of([1, 2, 3])
 

@@ -112,6 +112,39 @@ class TestErrorPaths:
         inst.write_text('{"n":1,"m":2,"values":[["\uff11\uff12",1]]}', encoding="utf-8")
         assert run(["solve", "--alpha", "3/4", "-i", inst]) == 2
 
+    def test_integer_options_take_only_ascii_digits(self, tmp_path, capsys):
+        # Arabic-Indic and fullwidth digits in every integer option, and in
+        # both ends of a range: argparse rejects each with exit 2.
+        inst = write_instance(tmp_path, [[1, 1]])
+        manifest = write_corpus(default_corpus(1), tmp_path / "corpus")
+        out = tmp_path / "out.json"
+        gen = ["gen", "--seed", "7", "--n", "3", "--m", "4", "-o", out]
+        cases = [
+            ["gen", "--seed", "\u0667", "--n", "\u0663", "--m", "4", "--grid", "\u0661\u0660", "-o", out],
+            [*gen, "--seed", "\uff17"],
+            [*gen, "--n", "\u0662:3"],
+            [*gen, "--n", "2:\uff13"],
+            [*gen, "--m", "\u0664"],
+            [*gen, "--m", "4:\uff15"],
+            [*gen, "--grid", "\uff11\uff10"],
+            ["mms", "-i", inst, "--agent", "\u0661"],
+            ["mms", "-i", inst, "-d", "\uff12"],
+            ["mms", "-i", inst, "--budget", "\u0665"],
+            ["solve", "--alpha", "3/4", "-i", inst, "--budget", "\uff15"],
+            ["bench", "-i", manifest, "--jobs", "\u0662"],
+        ]
+        for args in cases:
+            with pytest.raises(SystemExit) as done:
+                run(args)
+            assert done.value.code == 2, args
+            assert "ASCII digits" in capsys.readouterr().err
+        assert not out.exists()
+        # ASCII values keep their meaning, surrounding whitespace included.
+        assert run(["gen", "--seed", " 7 ", "--n", "2: 3", "--m", "4", "--grid", "10", "-o", out]) == 0
+        again = tmp_path / "again.json"
+        assert run(["gen", "--seed", "7", "--n", "2:3", "--m", "4", "--grid", "10", "-o", again]) == 0
+        assert out.read_bytes() == again.read_bytes()
+
     def test_repeated_good_ids_usage_error(self, tmp_path, capsys):
         inst = write_instance(tmp_path, [[1, 1, 1], [1, 1, 1]])
         alloc = tmp_path / "alloc.json"

@@ -3,7 +3,6 @@ from __future__ import annotations
 import inspect
 import json
 import pickle
-from dataclasses import replace
 from fractions import Fraction
 from math import lcm
 
@@ -27,8 +26,8 @@ from mmskit import (
     rat,
     value,
 )
-from mmskit.core import scaled_ranking
-from conftest import make_instance, random_instance
+from mmskit.core import int_row, scaled_ranking
+from conftest import HALF, make_instance, random_instance
 
 
 class TestRationalParsing:
@@ -112,7 +111,7 @@ class TestIsOrdered:
         assert not is_ordered(make_instance([[3, 2, 1], [1, 2, 3]]))
 
     def test_tiny_instances_vacuously_ordered(self):
-        assert is_ordered(Instance(n=0, m=0, values=()))
+        assert is_ordered(Instance(n=0, m=0, int_rows=()))
         assert is_ordered(make_instance([[5]]))
 
 
@@ -146,41 +145,63 @@ class TestBundlesAndAllocations:
 class TestInstanceConstruction:
     def test_rejects_negative_values(self):
         # The second row is checked too, and a non-integer negative is caught.
-        for bad in (Fraction(-1), Fraction(-1, 3), 1, 0.5, "1"):
+        for bad in (-1, Fraction(1), 0.5, "1", True):
             with pytest.raises(DomainError):
-                Instance(n=2, m=1, values=((Fraction(1),), (bad,)))
-        assert Instance(n=1, m=1, values=((Fraction(0),),)).values == ((Fraction(0),),)
+                Instance(n=2, m=1, int_rows=(((1,), 1), ((bad,), 1)))
+        for bad in (-1, Fraction(-1, 3), "-1/3"):
+            with pytest.raises(DomainError):
+                Instance.from_rows([[1], [bad]])
+        assert Instance(n=1, m=1, int_rows=(((0,), 1),)).values == ((Fraction(0),),)
 
     def test_rejects_bad_shape(self):
         with pytest.raises(DomainError):
-            Instance(n=2, m=2, values=((Fraction(1), Fraction(1)),))
+            Instance(n=2, m=2, int_rows=(((1, 1), 1),))
+        with pytest.raises(DomainError):
+            Instance(n=1, m=2, int_rows=((1, 1),))
 
     def test_empty_instances_legal(self):
-        assert Instance(n=0, m=0, values=()).m == 0
-        assert Instance(n=0, m=3, values=()).m == 3
+        assert Instance(n=0, m=0, int_rows=()).m == 0
+        assert Instance(n=0, m=3, int_rows=()).m == 3
+
+
+_DENOMINATORS = st.one_of(
+    st.sampled_from([1, 2, 3, 4, 6, 12]),
+    st.sampled_from([2147483549, 2147483563, 2147483587, 2147483629, 2147483647]),
+)
+_NUMERATORS = st.one_of(st.integers(0, 6), st.integers(2**62, 2**70))
+_VALUES = st.builds(Fraction, _NUMERATORS, _DENOMINATORS)
 
 
 class TestIntegerView:
     def test_rows_over_their_own_lcm(self):
         inst = make_instance([["1/2", "1/3", 0], [4, 0, "5/4"], [0, 0, 0]])
         assert inst.int_rows == (((3, 2, 0), 6), ((16, 0, 5), 4), ((0, 0, 0), 1))
-        assert Instance(n=2, m=0, values=((), ())).int_rows == (((), 1), ((), 1))
+        assert make_instance([[], []]).int_rows == (((), 1), ((), 1))
+        assert int_row([(2, 4), (6, 8), (0, 5)]) == ((2, 3, 0), 4)
 
-    def test_equality_and_hash_ignore_the_view(self):
-        rows = [["1/2", "1/3"], [7, "2/9"]]
-        a, b = make_instance(rows), make_instance(rows)
-        a.int_rows  # derived on a only
-        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
-        assert {a: 1}[b] == 1
-        b.int_rows
-        assert a == b and hash(a) == hash(b)
+    def test_equal_values_give_equal_instances(self):
+        # One value written three ways, and the lowest-terms view either way.
+        a = make_instance([["2/4", 3]])
+        b = make_instance([[Fraction(1, 2), "6/2"]])
+        c = instance_from_json('{"n":1,"m":2,"values":[["2/4","3/1"]]}')
+        assert a == b == c and hash(a) == hash(b) == hash(c)
+        assert {a: 1}[c] == 1 and a.int_rows == (((1, 6), 2),)
+        assert a.values == ((Fraction(1, 2), Fraction(3)),)
 
-    def test_replace_gets_a_fresh_view(self):
-        a = make_instance([["1/2", "1/3"]])
-        assert a.int_rows == (((3, 2), 6),)
-        b = replace(a, values=((Fraction(1, 5), Fraction(0)),))
-        assert b.int_rows == (((1, 0), 5),)
-        assert a.int_rows == (((3, 2), 6),)
+    def test_rejects_a_view_not_in_lowest_terms(self):
+        for view in ((((2, 4), 8),), (((0, 0), 2),), (((3, 2), 0),), (((3, 2), -6),),
+                     (((3, 2), True),), (((3, 2), 6.0),), (((-1, 2), 3),)):
+            with pytest.raises(DomainError):
+                Instance(n=1, m=2, int_rows=view)
+        assert Instance(n=1, m=2, int_rows=(((3, 2), 6),)).values == ((HALF, Fraction(1, 3)),)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 6).flatmap(
+        lambda m: st.lists(st.lists(_VALUES, min_size=m, max_size=m), min_size=1, max_size=4)))
+    def test_view_round_trips_values_and_json(self, rows):
+        inst = Instance.from_rows(rows)
+        assert inst.values == tuple(map(tuple, rows))
+        assert instance_from_json(instance_to_json(inst)) == inst
 
 
 def _threshold_calls():
@@ -292,14 +313,6 @@ class TestJson:
         assert instance_to_json(inst) == instance_to_json(make_instance([["1/3", 2], [7, "5/9"]]))
 
 
-_DENOMINATORS = st.one_of(
-    st.sampled_from([1, 2, 3, 4, 6, 12]),
-    st.sampled_from([2147483549, 2147483563, 2147483587, 2147483629, 2147483647]),
-)
-_NUMERATORS = st.one_of(st.integers(0, 6), st.integers(2**62, 2**70))
-_VALUES = st.builds(Fraction, _NUMERATORS, _DENOMINATORS)
-
-
 @st.composite
 def _row_and_goods(draw):
     """A row mixing ties, zeros and small and large terms, and a good set in
@@ -317,7 +330,7 @@ class TestScaledRanking:
     @given(_row_and_goods())
     def test_matches_fraction_sort_and_exact_scaling(self, case):
         row, goods = case
-        (ints, scale), = Instance(n=1, m=len(row), values=(row,)).int_rows
+        (ints, scale), = Instance.from_rows([row]).int_rows
         assert scale == lcm(*(v.denominator for v in row))
         ids, weights, denom = scaled_ranking(ints, scale, goods)
         assert ids == sorted(sorted(goods), key=lambda g: row[g - 1], reverse=True)
@@ -332,7 +345,8 @@ def _instances(draw):
     """Instances of 0-4 agents and 0-6 goods, empty matrices included."""
     n, m = draw(st.integers(0, 4)), draw(st.integers(0, 6))
     rows = draw(st.lists(st.lists(_VALUES, min_size=m, max_size=m), min_size=n, max_size=n))
-    return Instance(n=n, m=m, values=rows)
+    view = tuple(int_row((v.numerator, v.denominator) for v in row) for row in rows)
+    return Instance(n=n, m=m, int_rows=view)
 
 
 @st.composite

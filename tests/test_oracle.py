@@ -161,7 +161,7 @@ def first_maximiser(inst, agent, d, ids):
     """Brute force in the reference's documented order: the lowest good id is
     the most significant digit, and the first vector reaching the optimum wins.
     Loads are integers: the values times the lcm of their denominators."""
-    vals = [inst.row(agent)[g - 1] for g in ids]
+    vals = [inst.values[agent - 1][g - 1] for g in ids]
     scale = lcm(*(v.denominator for v in vals))
     weights = [v.numerator * (scale // v.denominator) for v in vals]
     best, best_vec = -1, None

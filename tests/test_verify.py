@@ -101,7 +101,7 @@ class TestCheckOni:
     def test_empty_instance_is_oni(self):
         from mmskit import Instance
 
-        assert check_oni(Instance(n=0, m=0, values=()), DELTA).ok
+        assert check_oni(Instance(n=0, m=0, int_rows=()), DELTA).ok
 
 
 class TestStructuralChecks:
