@@ -320,7 +320,10 @@ def instance_from_json(text: str) -> Instance:
     for row in vals:
         if not isinstance(row, list) or len(row) != m:
             raise DomainError("each value row must be a list of m entries")
-        view.append(int_row(_jsonable_to_pair(v) for v in row))
+        if set(map(type, row)) <= {int} and min(row, default=0) >= 0:
+            view.append((tuple(row), 1))  # plain ints are in lowest terms over L = 1
+        else:
+            view.append(int_row(_jsonable_to_pair(v) for v in row))
     return Instance(n=n, m=m, int_rows=tuple(view))
 
 

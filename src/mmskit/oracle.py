@@ -9,10 +9,15 @@ table of all assignments of the trailing goods (numpy, with int64 loads below
 inputs, and both are exact: they search the Python-int weights that
 `core.scaled_ranking` derives from the instance's integer view (values times
 the lcm of the searched goods' denominators, as the view's numerators divided
-by their gcd with the row's lcm) and scale back. `mms` memoizes its search
-on the key (scaled weights in ranking order, d, node budget), so a memoized
-share never depends on an earlier call's budget; `clear_cache` empties the
-memo. A result builds its witness partition only when the witness is read.
+by their gcd with the row's lcm) and scale back. Each covering probe of
+`mms` also applies the waste bound of bin completion against a table of the
+subset sums of the remaining goods, built once per search and only when it
+probes (and not above `_SUBSET_SUM_CAP`); the bound cuts only subtrees that
+hold no cover, so values and witnesses are those of the search without it.
+`mms` memoizes its search on the key (scaled weights in ranking order, d,
+node budget), so a memoized share never depends on an earlier call's budget;
+`clear_cache` empties the memo. A result builds its witness partition only
+when the witness is read.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from heapq import heapreplace
 from typing import Iterator, Sequence
 
 from .core import Bundle, Instance, Partition, scaled_ranking
@@ -66,14 +72,15 @@ def _ranked(inst: Instance, agent: int, subset: Bundle | None) -> tuple[list[int
 
 
 def _lpt_choice(weights: list[int], d: int) -> tuple[int, list[int]]:
-    """Largest-first greedy seed: each good to the lightest bundle (lowest index)."""
-    loads = [0] * d
+    """Largest-first greedy seed: each good to the lightest bundle (lowest
+    index), kept as a min-heap of (load, index)."""
+    heap = [(0, j) for j in range(d)]
     choice = [0] * len(weights)
     for t, w in enumerate(weights):
-        j = loads.index(min(loads))
-        loads[j] += w
+        load, j = heap[0]
+        heapreplace(heap, (load + w, j))
         choice[t] = j
-    return min(loads), choice
+    return heap[0][0], choice
 
 
 class _Budget:
@@ -90,9 +97,26 @@ class _Budget:
 
 
 _MEMO_CAP = 300_000
+# Subset-sum tables hold one bit per load up to the total, and each waste
+# test shifts them; above this total the shifts cost more than the bound
+# saves, and the covering search runs without it.
+_SUBSET_SUM_CAP = 1 << 20
 
 
-def _cover_assignment(nz: list[int], d: int, target: int, budget: _Budget) -> list[int] | None:
+def _subset_sums(nz: list[int]) -> list[int] | None:
+    """`reach[t]`, a bitset with bit k set iff some subset of nz[t:] sums to
+    k, for t in 0..len(nz); None when the total exceeds `_SUBSET_SUM_CAP`."""
+    if sum(nz) > _SUBSET_SUM_CAP:
+        return None
+    reach = [1] * (len(nz) + 1)
+    for t in range(len(nz) - 1, -1, -1):
+        reach[t] = reach[t + 1] | (reach[t + 1] << nz[t])
+    return reach
+
+
+def _cover_assignment(
+    nz: list[int], d: int, target: int, budget: _Budget, reach: list[int] | None = None
+) -> list[int] | None:
     """Assignment giving every bundle load >= target, or None (proven impossible).
 
     Depth-first over the goods in the given (descending) order. A good may
@@ -105,6 +129,14 @@ def _cover_assignment(nz: list[int], d: int, target: int, budget: _Budget) -> li
     top a bundle up to exactly the target, that placement is tried alone: any
     completion routing the good elsewhere can be rerouted through the exact
     fill, so the branch is exhaustive.
+
+    Waste bound (bin completion; Korf, IJCAI 2009): with `reach` from
+    `_subset_sums(nz)`, a short bundle with deficit k must receive at least
+    the least subset sum of the remaining goods that is >= k, so it wastes
+    at least that sum minus k; when the wastes of the short bundles add up
+    to more than the remaining weight less the shortfall, no cover exists.
+    The bound cuts only subtrees without a cover, so the first cover found,
+    or the refutation, is the same with or without it.
     """
     s = len(nz)
     suffix = [0] * (s + 1)
@@ -119,32 +151,34 @@ def _cover_assignment(nz: list[int], d: int, target: int, budget: _Budget) -> li
         shortfall = 0
         needed = 0
         w = nz[t] if t < s else 1
-        for l in loads:
+        short: list[int] = []
+        first: dict[int, int] = {}  # each short load -> its lowest bundle index
+        for j, l in enumerate(loads):
             if l < target:
                 deficit = target - l
                 shortfall += deficit
                 needed += -(-deficit // w)
+                short.append(l)
+                first.setdefault(l, j)
         if shortfall == 0:
             return True
         if t == s or shortfall > suffix[t] or needed > s - t:
             return False
-        key = (t, *sorted(l for l in loads if l < target))
+        short.sort()
+        key = (t, *short)
         if key in failed:
             return False
-
-        order = sorted((j for j in range(d) if loads[j] < target), key=lambda j: (-loads[j], j))
-        exact = next((j for j in order if loads[j] + w == target), -1)
-        candidates: list[int]
-        if exact >= 0:
-            candidates = [exact]
+        waste = 0
+        if reach is not None:
+            for l in short:
+                x = reach[t] >> (target - l)
+                waste += (x & -x).bit_length() - 1
+        if waste > suffix[t] - shortfall:
+            candidates = []  # the waste bound: no cover below this node
+        elif target - w in first:
+            candidates = [first[target - w]]
         else:
-            candidates = []
-            tried: list[int] = []
-            for j in order:
-                if loads[j] in tried:
-                    continue
-                tried.append(loads[j])
-                candidates.append(j)
+            candidates = [first[l] for l in sorted(first, reverse=True)]
         for j in candidates:
             budget.spend()
             loads[j] += w
@@ -186,9 +220,10 @@ def _search(
         budget = _Budget(node_budget)
         lo = best_val
         hi = sum(nz) // d
+        reach = _subset_sums(nz) if lo < hi else None
         while lo < hi:
             mid = (lo + hi + 1) // 2
-            found = _cover_assignment(nz, d, mid, budget)
+            found = _cover_assignment(nz, d, mid, budget, reach)
             if found is None:
                 hi = mid - 1
             else:

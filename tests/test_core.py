@@ -3,6 +3,7 @@ from __future__ import annotations
 import inspect
 import json
 import pickle
+import re
 from fractions import Fraction
 from math import lcm
 
@@ -26,7 +27,7 @@ from mmskit import (
     rat,
     value,
 )
-from mmskit.core import int_row, scaled_ranking
+from mmskit.core import _jsonable_to_pair, int_row, scaled_ranking
 from conftest import HALF, make_instance, random_instance
 
 
@@ -268,6 +269,20 @@ class TestJson:
             instance_from_json('{"n":1,"m":1,"values":[[0.5]]}')
         with pytest.raises(DomainError):
             instance_from_json('{"n":1,"m":1,"values":[["-1/2"]]}')
+
+    def test_rows_of_plain_ints_parse_like_pairs(self):
+        # A row of plain nonnegative ints is taken as (row, 1); every other
+        # row goes through (p, q) pairs. Both give the same instance or error.
+        rows = ([0, 0], [4, 6], [2**70, 3], [4, "6"], [1, "2/4"], [1, -2], [1, True], [False, 1], [1, "p/q"], [1, 0.5])
+        for row in rows:
+            text = json.dumps({"n": 1, "m": 2, "values": [row]})
+            try:
+                expected = Instance(n=1, m=2, int_rows=(int_row(_jsonable_to_pair(v) for v in row),))
+            except DomainError as e:
+                with pytest.raises(DomainError, match=f"^{re.escape(str(e))}$"):
+                    instance_from_json(text)
+            else:
+                assert instance_from_json(text) == expected, row
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(DomainError):

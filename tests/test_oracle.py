@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -20,7 +21,16 @@ from mmskit import (
     mms_exhaustive,
     value,
 )
-from mmskit.oracle import DEFAULT_NODE_BUDGET, _canonical_prefixes, _search, clear_cache
+from mmskit.oracle import (
+    DEFAULT_NODE_BUDGET,
+    _Budget,
+    _canonical_prefixes,
+    _cover_assignment,
+    _lpt_choice,
+    _search,
+    _subset_sums,
+    clear_cache,
+)
 
 from conftest import make_instance, random_instance
 
@@ -274,6 +284,47 @@ class TestPruningCrossCheck:
                 below += res.value < sum(row) // d
                 cases += 1
         assert 2 * below >= cases, f"only {below} of {cases} optima sit below total // d"
+
+
+class TestWasteBound:
+    def test_same_assignment_and_no_more_nodes_with_the_table(self, rng):
+        # The waste bound cuts only subtrees without a cover, so every probe
+        # from the greedy seed to just past total // d must return the same
+        # assignment (or None) with and without the subset-sum table.
+        probes = fewer = 0
+        for k in range(60):
+            d = 2 + k % 5
+            grid = (3, 10, 100, 1000)[k % 4]
+            nz = sorted((rng.randint(1, grid) for _ in range(rng.randint(d, 14))), reverse=True)
+            reach = _subset_sums(nz)
+            for target in range(_lpt_choice(nz, d)[0], sum(nz) // d + 2):
+                plain, pruned = _Budget(DEFAULT_NODE_BUDGET), _Budget(DEFAULT_NODE_BUDGET)
+                expected = _cover_assignment(nz, d, target, plain)
+                assert _cover_assignment(nz, d, target, pruned, reach) == expected, (nz, d, target)
+                assert pruned.nodes <= plain.nodes, (nz, d, target)
+                probes += 1
+                fewer += pruned.nodes < plain.nodes
+        assert 3 * fewer >= probes, f"the table saved nodes on only {fewer} of {probes} probes"
+
+    def test_hard_row_is_certified_within_a_small_budget(self):
+        # Six bundles of 22 goods on grid 1000: without the waste bound the
+        # probes next to the optimum spend more than this budget.
+        draw = random.Random(0)
+        row = [draw.randint(1, 1000) for _ in range(22)]
+        res = mms(make_instance([row]), 1, 6, node_budget=2_000_000)
+        assert res.value == 2252
+        assert [b.goods for b in res.witness] == [
+            (6, 11, 13, 16), (3, 8, 17), (2, 12, 21), (7, 14, 20, 22), (4, 5, 15, 19), (1, 9, 10, 18),
+        ]
+
+    def test_total_above_the_table_cap_searches_without_it(self):
+        row = [977, 953, 911, 877, 859, 823, 787, 757, 733, 701]
+        c = 2**62 // sum(row)
+        big = make_instance([[c * v for v in row]])
+        assert _subset_sums([c * v for v in row]) is None
+        res = mms(big, 1, 3)
+        assert res.value == c * mms(make_instance([row]), 1, 3).value
+        assert_valid_witness(big, 1, 3, None, res)
 
 
 class TestOracleProperties:
