@@ -12,7 +12,6 @@ from .core import (
     Allocation,
     Bundle,
     Instance,
-    Partition,
     allocation_from_json,
     allocation_to_json,
     instance_from_json,
@@ -62,7 +61,7 @@ from .gen import generate
 
 __all__ = [
     "__version__",
-    "Allocation", "Bundle", "Instance", "Partition",
+    "Allocation", "Bundle", "Instance",
     "allocation_from_json", "allocation_to_json",
     "instance_from_json", "instance_to_json",
     "is_ordered", "rat", "value",

@@ -35,7 +35,6 @@ from .transforms import (
     meets_bar,
     pick_recipient,
     rule_rows,
-    split_ids,
     to_delta_oni,
 )
 
@@ -294,9 +293,8 @@ def approx_mms2(
                 break
             rule, agent = fired
             awarded = apply_rule(rows, bars, rule, agent)
-            (who,), agents = split_ids(agents, (agent,))
-            award, goods = split_ids(goods, awarded)
-            state.satisfied[who] = Bundle.of(award)
+            who = agents.pop(agent - 1)
+            state.satisfied[who] = Bundle.of(goods.pop(g - 1) for g in reversed(awarded))
             counts[rule.value] += 1
 
     # Stage 3: triple-seeded bags over what is left, filled one at a time from

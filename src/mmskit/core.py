@@ -1,4 +1,4 @@
-"""Exact-arithmetic data model: instances, bundles, partitions, allocations.
+"""Exact-arithmetic data model: instances, bundles, allocations.
 
 No operation anywhere in the toolkit rounds. An instance is stored as its
 integer view, each row as its numerators over L, the lcm of its reduced
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -74,6 +75,11 @@ def rat_to_text(x: Fraction) -> str:
     return str(rat_to_jsonable(x))
 
 
+def _too_many_digits() -> DomainError:
+    return DomainError(f"a number has more than {sys.get_int_max_str_digits()} digits, "
+                       "Python's int-string conversion limit")
+
+
 def _jsonable_to_pair(v) -> tuple[int, int]:
     """An instance-file value, an int or "p/q" text with p >= 0, q >= 1, as (p, q)."""
     if isinstance(v, int) and not isinstance(v, bool):
@@ -84,10 +90,13 @@ def _jsonable_to_pair(v) -> tuple[int, int]:
         m = _VALUE_TEXT.fullmatch(v.strip())
         if not m:
             raise DomainError(f"cannot parse value {v!r}: expected 'p' or 'p/q' with p >= 0, q >= 1")
-        q = int(m.group(2)) if m.group(2) else 1
+        try:
+            p, q = int(m.group(1)), int(m.group(2) or 1)
+        except ValueError:
+            raise _too_many_digits() from None
         if q < 1:
             raise DomainError(f"denominator must be >= 1 in {v!r}")
-        return int(m.group(1)), q
+        return p, q
     raise DomainError(f"instance values must be integers or 'p/q' strings, got {v!r}")
 
 
@@ -169,28 +178,6 @@ class Bundle:
 
     def union(self, other: "Bundle | Iterable[int]") -> "Bundle":
         return Bundle.of([*self.goods, *other])
-
-
-@dataclass(frozen=True)
-class Partition:
-    """A tuple of pairwise-disjoint bundles."""
-
-    bundles: tuple[Bundle, ...]
-
-    def __post_init__(self):
-        if not isinstance(self.bundles, tuple):
-            object.__setattr__(self, "bundles", tuple(self.bundles))
-
-    def validate(self, ground: Bundle) -> None:
-        """Raise unless the bundles partition exactly `ground`."""
-        if not partitions(self.bundles, ground):
-            raise DomainError("bundles do not partition the ground set")
-
-    def __iter__(self):
-        return iter(self.bundles)
-
-    def __len__(self):
-        return len(self.bundles)
 
 
 @dataclass(frozen=True)
@@ -302,6 +289,8 @@ def _parse_json(text: str):
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise DomainError(f"not valid JSON: {e}") from None
+    except ValueError:  # an int literal past the conversion limit
+        raise _too_many_digits() from None
 
 
 def instance_from_json(text: str) -> Instance:

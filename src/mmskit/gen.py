@@ -42,9 +42,9 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def below(self, k: int) -> int:
-        """Uniform draw from [0, k)."""
-        if k <= 0:
-            raise DomainError("below() requires k >= 1")
+        """Uniform draw from [0, k), for 1 <= k <= 2^64."""
+        if not 1 <= k <= 1 << 64:
+            raise DomainError(f"below() requires 1 <= k <= 2^64, got {k}")
         limit = (1 << 64) - ((1 << 64) % k)
         while True:
             r = self.next_u64()

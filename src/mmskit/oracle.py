@@ -28,7 +28,7 @@ from functools import cached_property, lru_cache
 from heapq import heapreplace
 from typing import Iterator, Sequence
 
-from .core import Bundle, Instance, Partition, scaled_ranking
+from .core import Bundle, Instance, scaled_ranking
 from .errors import BoundsError, DomainError, OracleBudgetExceeded
 
 DEFAULT_NODE_BUDGET = 50_000_000
@@ -48,8 +48,8 @@ class MmsResult:
     positions: Sequence[Sequence[int]] = field(repr=False)
 
     @cached_property
-    def witness(self) -> Partition:
-        return Partition(tuple(Bundle.of(self.goods[p] for p in b) for b in self.positions))
+    def witness(self) -> tuple[Bundle, ...]:
+        return tuple(Bundle.of(self.goods[p] for p in b) for b in self.positions)
 
     def __eq__(self, other):
         same = isinstance(other, MmsResult) and self.value == other.value
@@ -209,10 +209,8 @@ def _search(
     one entry, and a memoized share is exactly what a fresh search with that
     budget returns (a search over budget raises and stores nothing).
     """
-    positions_nz = [t for t, w in enumerate(weights) if w > 0]
-    positions_z = [t for t, w in enumerate(weights) if w == 0]
-    nz = [weights[t] for t in positions_nz]
-    s = len(nz)
+    s = len(weights) - weights.count(0)
+    nz = list(weights[:s])  # descending, so the zero weights are the tail
 
     best_val, best_choice = _lpt_choice(nz, d)
 
@@ -227,19 +225,16 @@ def _search(
             if found is None:
                 hi = mid - 1
             else:
+                best_choice = [max(j, 0) for j in found]  # leftovers join bundle 0
                 loads = [0] * d
-                for t, j in enumerate(found):
-                    if j >= 0:
-                        loads[j] += nz[t]
-                loads[0] += sum(nz[t] for t, j in enumerate(found) if j < 0)
-                best_val = min(loads)
-                best_choice = [j if j >= 0 else 0 for j in found]
-                lo = best_val
+                for w, j in zip(nz, best_choice):
+                    loads[j] += w
+                best_val = lo = min(loads)
 
     bundles: list[list[int]] = [[] for _ in range(d)]
     for t, j in enumerate(best_choice):
-        bundles[j].append(positions_nz[t])
-    bundles[0].extend(positions_z)
+        bundles[j].append(t)
+    bundles[0].extend(range(s, len(weights)))
     return best_val, tuple(tuple(b) for b in bundles)
 
 

@@ -7,9 +7,9 @@ The pipeline to an ordered, normalized, irreducible instance is:
 
 Reductions award a small set of goods to one agent and drop both from the
 instance. An instance is only its value matrix, so each reduction keeps its
-own lists of the ids its rows and columns stand for and maps every award
-through them (`split_ids`); the trace records every award so a solution of
-the residual instance can be lifted back. Good identities do not survive
+own lists of the ids its rows and columns stand for and pops every award
+from them; the trace records every award so a solution of the residual
+instance can be lifted back. Good identities do not survive
 ordering (an ordered slot has no single source good when agents disagree),
 so trace steps are recorded in ordered-view coordinates and lifting re-picks
 concrete goods slot by slot, most valuable first. An ordering map is a
@@ -271,17 +271,6 @@ def restrict(inst: Instance, agents: Iterable[int], goods: Iterable[int]) -> Ins
     return Instance(n=len(agents), m=len(goods), int_rows=rows)
 
 
-def split_ids(ids: Sequence[int], positions: Collection[int]) -> tuple[list[int], list[int]]:
-    """The ids at the 1-based `positions` of `ids`, and the ids left, each in
-    list order: how a reduction maps an award on its working instance back to
-    the agent and good ids its rows and columns stand for."""
-    taken: list[int] = []
-    kept: list[int] = []
-    for p, x in enumerate(ids, start=1):
-        (taken if p in positions else kept).append(x)
-    return taken, kept
-
-
 def apply_rule(
     rows: list[list[int]], bars: list[int], rule: RuleId, agent: int
 ) -> tuple[int, ...]:
@@ -330,11 +319,11 @@ def reduce(
     shares = [mms(cur, i, cur.n, node_budget=node_budget).value for i in range(1, cur.n + 1)]
     zero_rows = [i for i, s in zip(range(1, cur.n + 1), shares) if s == 0]
     if zero_rows:
-        stripped, agents = split_ids(agents, zero_rows)
         trace.steps.extend(
             TraceStep(rule=BAG_AWARD, agent=a, goods=Bundle(), threshold=Fraction(0))
-            for a in stripped
+            for a in zero_rows
         )
+        agents = [a for a, s in zip(agents, shares) if s != 0]
         # `cur` is still the ordered input, so the surviving ids are its rows.
         cur = restrict(cur, agents, range(1, cur.m + 1))
         # Fewer agents can only raise a share, so one stripping pass suffices;
@@ -348,11 +337,9 @@ def reduce(
         rule, agent = fired
         awarded = apply_rule(rows, bars, rule, agent)
         del scales[agent - 1]
-        (who,), agents = split_ids(agents, (agent,))
-        award, goods = split_ids(goods, awarded)
-        trace.steps.append(
-            TraceStep(rule=rule, agent=who, goods=Bundle.of(award), threshold=threshold)
-        )
+        who = agents.pop(agent - 1)
+        award = Bundle.of(goods.pop(g - 1) for g in reversed(awarded))
+        trace.steps.append(TraceStep(rule=rule, agent=who, goods=award, threshold=threshold))
     view = tuple(int_row((a, s) for a in row) for row, s in zip(rows, scales))
     return Instance(n=len(rows), m=len(goods), int_rows=view), trace
 

@@ -113,6 +113,13 @@ class TestBagFill:
         with pytest.raises(DomainError):
             bag_fill(inst, ALPHA34 + Fraction(1, 100))
 
+    @pytest.mark.parametrize("rows, message", [([[1, 2, 2, 2]] * 2, "ordered"),
+                                               ([[1, 1, 1]] * 2, "m >= 2n")],
+                             ids=["unordered", "m-below-2n"])
+    def test_requires_ordered_and_enough_goods(self, rows, message):
+        with pytest.raises(ContractViolation, match=message):
+            bag_fill(make_instance(rows), ALPHA34)
+
     def test_exhaustion_raises_with_state(self):
         # all-zero values break the allocator's preconditions on purpose
         inst = Instance.from_rows([[0, 0, 0, 0], [0, 0, 0, 0]])

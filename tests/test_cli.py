@@ -198,6 +198,20 @@ class TestErrorPaths:
     def test_missing_input_usage_error(self, tmp_path):
         assert run(["solve", "--alpha", "3/4", "-i", tmp_path / "nope.json"]) == 2
 
+    def test_gen_grid_past_the_draw_bound_is_usage_error(self, tmp_path):
+        # Values are drawn from [0, grid], so grid 2^64 needs a draw below
+        # 2^64 + 1. The CLI runs in a child process so that a draw loop that
+        # never ends fails the test by timeout instead of stalling the suite.
+        src = str(Path(mmskit.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "mmskit.cli", "gen", "--seed", "1", "--n", "1", "--m", "1",
+             "--grid", str(2**64), "-o", str(tmp_path / "inst.json")],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 2 and "2^64" in done.stderr
+        assert not (tmp_path / "inst.json").exists()
+
     def test_zero_denominator_usage_error(self, tmp_path, capsys):
         inst = write_instance(tmp_path, [[1, 1]])
         for args in (["solve", "--alpha", "1/0", "-i", inst],
@@ -236,10 +250,10 @@ class TestBench:
 
     def test_failed_row_does_not_end_the_run(self, tmp_path):
         # the n=1 instance needs no search; the other exceeds a 3-node budget;
-        # one file is missing, one truncated, one not UTF-8, and the last five
-        # manifest entries are malformed. The CLI runs in a child
-        # process so that a hung worker pool fails the test by timeout instead
-        # of stalling the suite.
+        # one file is missing, one truncated, one not UTF-8, one holds a number
+        # too long to read, and the last five manifest entries are malformed.
+        # The CLI runs in a child process so that a hung worker pool fails the
+        # test by timeout instead of stalling the suite.
         corpus = tmp_path / "corpus"
         corpus.mkdir()
         write_instance(corpus, [[5, 4, 3]], "easy.json")
@@ -248,10 +262,12 @@ class TestBench:
         manifest = corpus / "manifest.json"
         (corpus / "truncated.json").write_text((corpus / "easy.json").read_text()[:-5])
         (corpus / "latin1.json").write_bytes('{"n": 1, "m": 1, "values": [["\u00e9"]]}'.encode("latin-1"))
+        (corpus / "huge.json").write_text('{"n": 1, "m": 1, "values": [[' + "9" * 5000 + "]]}")
         manifest.write_text(json.dumps({"entries": [
             {"id": "easy", "path": "easy.json"}, {"id": "hard", "path": "hard.json"},
             {"id": "missing", "path": "missing.json"}, {"id": "truncated", "path": "truncated.json"},
-            {"id": "latin1", "path": "latin1.json"}, {"id": "no-path"}, {"path": "easy.json"}, "not-an-object",
+            {"id": "latin1", "path": "latin1.json"}, {"id": "huge", "path": "huge.json"},
+            {"id": "no-path"}, {"path": "easy.json"}, "not-an-object",
             {"id": "bad-spec", "path": "easy.json", "spec": 7}, {"id": "bad-path", "path": 7}]}))
         src = str(Path(mmskit.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -264,9 +280,9 @@ class TestBench:
             )
             assert done.returncode == 1, done.stderr
             summary = json.loads(done.stdout)
-            assert summary["instances"] == 10 and summary["failed"] == 9
+            assert summary["instances"] == 11 and summary["failed"] == 10
             assert summary["all_pass"] is False
-            easy, hard, missing, truncated, latin1, *malformed = csv.DictReader(out_csv.open())
+            easy, hard, missing, truncated, latin1, huge, *malformed = csv.DictReader(out_csv.open())
             assert (easy["id"], easy["status"], easy["pass"]) == ("easy", "ok", "True")
             assert easy["min_ratio"] == "1"
             assert (hard["id"], hard["status"], hard["pass"]) == (
@@ -278,6 +294,7 @@ class TestBench:
                 "truncated", "DomainError", "False")
             assert (latin1["id"], latin1["status"], latin1["pass"]) == (
                 "latin1", "UnicodeDecodeError", "False")
+            assert (huge["id"], huge["status"], huge["pass"]) == ("huge", "DomainError", "False")
             assert [(r["id"], r["status"], r["pass"]) for r in malformed] == [
                 ("no-path", "KeyError", "False"), ("", "KeyError", "False"),
                 ("", "DomainError", "False"), ("bad-spec", "DomainError", "False"),

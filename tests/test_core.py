@@ -18,7 +18,6 @@ from mmskit import (
     GuaranteeViolation,
     Instance,
     OracleBudgetExceeded,
-    Partition,
     instance_from_json,
     instance_to_json,
     allocation_from_json,
@@ -27,7 +26,7 @@ from mmskit import (
     rat,
     value,
 )
-from mmskit.core import _jsonable_to_pair, int_row, scaled_ranking
+from mmskit.core import _jsonable_to_pair, int_row, partitions, scaled_ranking
 from conftest import HALF, make_instance, random_instance
 
 
@@ -125,13 +124,11 @@ class TestBundlesAndAllocations:
             Bundle.of([0, 1])
 
     def test_partition_validate(self):
-        p = Partition((Bundle.of([1]), Bundle.of([2, 3])))
-        p.validate(Bundle.of([1, 2, 3]))
-        with pytest.raises(DomainError):
-            p.validate(Bundle.of([1, 2, 3, 4]))
-        overlapping = Partition((Bundle.of([1, 2]), Bundle.of([2, 3])))
-        with pytest.raises(DomainError):
-            overlapping.validate(Bundle.of([1, 2, 3]))
+        p = (Bundle.of([1]), Bundle.of([2, 3]))
+        assert partitions(p, Bundle.of([1, 2, 3]))
+        assert not partitions(p, Bundle.of([1, 2, 3, 4]))
+        overlapping = (Bundle.of([1, 2]), Bundle.of([2, 3]))
+        assert not partitions(overlapping, Bundle.of([1, 2, 3]))
 
     def test_allocation_validate_covers_exactly(self):
         alloc = Allocation(bundles=(Bundle.of([2]), Bundle.of([1])), unassigned=Bundle.of([3]))
@@ -269,6 +266,16 @@ class TestJson:
             instance_from_json('{"n":1,"m":1,"values":[[0.5]]}')
         with pytest.raises(DomainError):
             instance_from_json('{"n":1,"m":1,"values":[["-1/2"]]}')
+        with pytest.raises(DomainError, match="denominator"):
+            instance_from_json('{"n":1,"m":1,"values":[["1/0"]]}')
+
+    def test_numbers_past_the_conversion_limit_are_domain_errors(self):
+        # Python reads at most 4300 digits per int by default; past that,
+        # a JSON int or either side of "p/q" text fails as a DomainError.
+        digits = "9" * 5000
+        for v in (digits, json.dumps(digits), json.dumps(f"{digits}/7"), json.dumps(f"7/{digits}")):
+            with pytest.raises(DomainError, match="digits"):
+                instance_from_json(f'{{"n":1,"m":1,"values":[[{v}]]}}')
 
     def test_rows_of_plain_ints_parse_like_pairs(self):
         # A row of plain nonnegative ints is taken as (row, 1); every other
@@ -287,6 +294,10 @@ class TestJson:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(DomainError):
             instance_from_json('{"n":2,"m":1,"values":[[1]]}')
+        for text, message in (('[1]', "must be an object"), ('{"n":1,"m":1}', "missing field"),
+                              ('{"n":1,"m":2,"values":[[1]]}', "list of m entries")):
+            with pytest.raises(DomainError, match=message):
+                instance_from_json(text)
 
     def test_values_take_only_ascii_digits(self):
         for v in ("\uff11\uff12", "\u0663/\u0664", "1/\u0664"):
@@ -314,6 +325,7 @@ class TestJson:
             '{"bundles":[[1]],"unassigned":7}',
             '{"bundles":[5],"unassigned":[]}',
             '{"bundles":[["a",1]],"unassigned":[]}',
+            '{"bundles":[[1]]}',
         ):
             with pytest.raises(DomainError):
                 allocation_from_json(text)

@@ -37,6 +37,16 @@ class TestSplitMix:
         assert set(draws) <= set(range(3, 8))
         assert len(set(draws)) == 5
 
+    def test_draw_bound_at_most_two_to_the_64(self):
+        # Past 2^64 the rejection limit would be 0 and no draw would ever
+        # pass; the draws are capped so that such a loop fails, not hangs.
+        rng = SplitMix64(1)
+        assert 0 <= rng.below(2**64) < 2**64
+        capped = iter(range(1000))
+        rng.next_u64 = lambda: next(capped)
+        with pytest.raises(DomainError, match="2\\^64"):
+            rng.below(2**64 + 1)
+
 
 class TestCompose:
     def test_parts_in_range_and_sum(self):

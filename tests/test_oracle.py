@@ -13,10 +13,10 @@ import pytest
 
 import mmskit
 from mmskit import (
+    BoundsError,
     Bundle,
     DomainError,
     OracleBudgetExceeded,
-    Partition,
     mms,
     mms_exhaustive,
     value,
@@ -59,7 +59,7 @@ class TestMmsExamples:
         inst = make_instance([[3, 2, 1]])
         res = mms(inst, 1, 2)
         assert res.value == 3
-        assert res.witness.bundles == (Bundle.of([1]), Bundle.of([2, 3]))
+        assert res.witness == (Bundle.of([1]), Bundle.of([2, 3]))
 
     def test_more_bundles_than_goods(self):
         inst = make_instance([[1, 1, 1]])
@@ -77,6 +77,13 @@ class TestMmsExamples:
             mms(inst, 1, 0)
         with pytest.raises(DomainError):
             mms_exhaustive(inst, 1, 0)
+
+    @pytest.mark.parametrize("oracle", [mms, mms_exhaustive])
+    @pytest.mark.parametrize("agent, subset", [(0, None), (2, None), (1, Bundle.of([1, 4]))],
+                             ids=["agent-0", "agent-past-n", "good-past-m"])
+    def test_agent_or_good_out_of_range(self, oracle, agent, subset):
+        with pytest.raises(BoundsError, match="out of range"):
+            oracle(make_instance([[3, 2, 1]]), agent, 2, subset)
 
     def test_subset_restriction(self):
         inst = make_instance([[5, 4, 3, 2, 1]])
@@ -110,7 +117,7 @@ class TestExhaustiveExamples:
         inst = make_instance([[5, 4, 3, 2, 1]])
         res = mms_exhaustive(inst, 1, 1)
         assert res.value == 15
-        assert res.witness.bundles == (Bundle.of([1, 2, 3, 4, 5]),)
+        assert res.witness == (Bundle.of([1, 2, 3, 4, 5]),)
 
     def test_cap_enforced(self):
         inst = make_instance([[1] * 13])
@@ -182,7 +189,7 @@ def first_maximiser(inst, agent, d, ids):
         if min(loads) > best:
             best, best_vec = min(loads), vec
     bundles = (Bundle.of(g for g, j in zip(ids, best_vec) if j == b) for b in range(d))
-    return Fraction(best, scale), Partition(tuple(bundles))
+    return Fraction(best, scale), tuple(bundles)
 
 
 class TestExhaustiveBeyondInt64:

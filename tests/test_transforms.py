@@ -115,6 +115,9 @@ class TestLiftOrderedAllocation:
         bad = Allocation(bundles=(Bundle.of([1]),), unassigned=Bundle())
         with pytest.raises(DomainError):
             lift_ordered_allocation(inst, omap, bad)
+        two_agents = Allocation(bundles=(Bundle.of([1]), Bundle.of([2])))
+        with pytest.raises(DomainError, match="wrong number of agents"):
+            lift_ordered_allocation(inst, omap, two_agents)
 
     def test_malformed_map_rejected(self):
         inst = make_instance([[3, 2, 1]])
@@ -473,9 +476,14 @@ class TestLiftAllocation:
 
     def test_dimension_mismatch_rejected(self):
         inst = make_instance([[5, 3, 1], [4, 4, 2]])
-        _, omap, trace = to_delta_oni(inst, EPS0)
+        oni, omap, trace = to_delta_oni(inst, EPS0)
         with pytest.raises(ContractViolation):
             lift_allocation(trace, omap, make_instance([[1]]), Allocation(bundles=()))
+        with pytest.raises(ContractViolation, match="trace dimensions"):
+            lift_allocation(trace, omap, make_instance([[5, 3], [4, 4]]), Allocation(bundles=()))
+        extra_agent = Allocation(bundles=(Bundle(),) * (oni.n + 1), unassigned=oni.all_goods())
+        with pytest.raises(ContractViolation, match="inner allocation has"):
+            lift_allocation(trace, omap, inst, extra_agent)
 
     def test_end_to_end_ratio_bound(self, rng):
         # Lifting an allocation that is alpha-fair for the residual instance

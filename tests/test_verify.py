@@ -166,3 +166,6 @@ class TestReductionValidity:
         before = make_instance([[1], [1]])
         with pytest.raises(ContractViolation):
             check_reduction_validity(before, before, removed_agent=1)
+        for agent in (0, 3):
+            with pytest.raises(ContractViolation, match="out of range"):
+                check_reduction_validity(before, make_instance([[1]]), removed_agent=agent)
