@@ -142,12 +142,12 @@ def _bench_entry(payload) -> dict:
         row["branch"] = info.branch
         row.update({f"r{k}": info.rule_counts.get(f"R{k}", 0) for k in range(1, 6)})
         report = check_alpha_mms(inst, alloc, alpha, node_budget=budget)
+        ratios = [a.received / a.mms if a.mms else Fraction(1) for a in report.agents]
+        row["min_ratio"] = rat_to_text(min(ratios)) if ratios else ""
+        row["agent_ratios"] = ";".join(rat_to_text(r) for r in ratios)
     except (MmsKitError, OSError, KeyError, UnicodeDecodeError) as e:
         row["status"] = type(e).__name__
         return row
-    ratios = [a.received / a.mms if a.mms else Fraction(1) for a in report.agents]
-    row["min_ratio"] = rat_to_text(min(ratios)) if ratios else ""
-    row["agent_ratios"] = ";".join(rat_to_text(r) for r in ratios)
     row["pass"] = report.passed
     row["status"] = "ok"
     return row

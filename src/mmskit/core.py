@@ -8,10 +8,11 @@ ordered instance. Rules used across the toolkit live here only:
 
 - `int_row`, the one place a row's lcm is computed: values p/q to the view
   (numerators, L) in lowest terms, so equal matrices have equal views.
-- `scaled_ranking`, every ordered view and the oracle's integer weights. A
-  subset's weights are the view's numerators divided by g = gcd(L, theirs),
-  over L // g: exactly the values times the lcm of the subset's
-  denominators, since lcm_j(L / gcd(a_j, L)) = L / gcd(L, a_S).
+- `scaled_weights`, the oracle's integer weights, and `scaled_ranking`,
+  every ordered view and the order of the oracle's witnesses. A subset's
+  weights are the view's numerators divided by g = gcd(L, theirs), over
+  L // g: exactly the values times the lcm of the subset's denominators,
+  since lcm_j(L / gcd(a_j, L)) = L / gcd(L, a_S).
 - `exact`, the one gate on thresholds (alpha, eps, delta): int or Fraction.
 - `partitions` (the covers-exactly-once check) and `canonical_json` (the
   bytes of every JSON file the toolkit writes).
@@ -68,11 +69,19 @@ def rat_to_jsonable(x: Fraction) -> int | str:
 
 def _ratio_jsonable(a: int, den: int) -> int | str:
     g = gcd(a, den)
-    return a // g if g == den else f"{a // g}/{den // g}"
+    if g == den:
+        return a // g
+    try:
+        return f"{a // g}/{den // g}"
+    except ValueError:  # past the conversion limit
+        raise _too_many_digits() from None
 
 
 def rat_to_text(x: Fraction) -> str:
-    return str(rat_to_jsonable(x))
+    try:
+        return str(rat_to_jsonable(x))
+    except ValueError:  # an integer past the conversion limit
+        raise _too_many_digits() from None
 
 
 def _too_many_digits() -> DomainError:
@@ -122,21 +131,26 @@ def int_row(pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...], int]:
     return (tuple(nums), den) if g == 1 else (tuple(a // g for a in nums), den // g)
 
 
+def scaled_weights(nums: Sequence[int], scale: int) -> tuple[Sequence[int], int]:
+    """Some goods' numerators `nums` over `scale`, one row of the integer
+    view, as (weights, denom): with g = gcd(scale, *nums), denom = scale // g
+    is the lcm of the goods' denominators and weight = numerator // g =
+    value * denom exactly."""
+    g = gcd(scale, *nums)
+    return (nums, scale) if g == 1 else ([a // g for a in nums], scale // g)
+
+
 def scaled_ranking(
     ints: Sequence[int], scale: int, goods: Iterable[int]
 ) -> tuple[list[int], list[int], int]:
     """`goods` by non-increasing value in one row of the integer view
-    (numerators `ints` over `scale`), as (ids, weights, denom): with
-    g = gcd(scale, the goods' numerators), denom = scale // g is the lcm of
-    the goods' denominators and weight = numerator // g = value * denom
-    exactly; the stable reverse=True sort keeps ties on the lower good id."""
+    (numerators `ints` over `scale`), as (ids, weights, denom) with the
+    weights and denom of `scaled_weights`; the stable reverse=True sort
+    keeps ties on the lower good id."""
     ids = sorted(goods)
-    nums = [ints[g - 1] for g in ids]
-    g = gcd(scale, *nums)
-    if g > 1:
-        nums = [a // g for a in nums]
+    nums, denom = scaled_weights([ints[g - 1] for g in ids], scale)
     pos = sorted(range(len(ids)), key=nums.__getitem__, reverse=True)
-    return [ids[k] for k in pos], [nums[k] for k in pos], scale // g
+    return [ids[k] for k in pos], [nums[k] for k in pos], denom
 
 
 def partitions(groups: Iterable[Iterable[int]], ground: Iterable[int]) -> bool:
@@ -276,8 +290,13 @@ def instance_to_jsonable(inst: Instance) -> dict:
 
 
 def canonical_json(obj) -> str:
-    """The one file encoding: sorted keys, no spaces, one trailing newline."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    """The one file encoding: sorted keys, no spaces, one trailing newline.
+    An int past the int-string conversion limit is a `DomainError`: results
+    can have longer numbers than the input they were computed from."""
+    try:
+        return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    except ValueError:
+        raise _too_many_digits() from None
 
 
 def instance_to_json(inst: Instance) -> str:

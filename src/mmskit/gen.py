@@ -80,8 +80,8 @@ class GenSpec:
         object.__setattr__(self, "m_range", tuple(self.m_range))
         if self.family not in FAMILIES:
             raise DomainError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
-        if self.grid < 1:
-            raise DomainError("grid must be >= 1")
+        if not 1 <= self.grid <= _MASK64:  # values are drawn from grid + 1 <= 2^64 outcomes
+            raise DomainError(f"grid must be in [1, 2^64 - 1], got {self.grid}")
         n_lo, n_hi = self.n_range
         m_lo, m_hi = self.m_range
         if n_lo < 0 or n_hi < n_lo:

@@ -6,29 +6,32 @@ by enumeration: the leading goods run only over canonical labellings (one
 per partition of them), each adding its loads as a column to an outer-sum
 table of all assignments of the trailing goods (numpy, with int64 loads below
 2^62 and Python integers above). Both are deterministic functions of their
-inputs, and both are exact: they search the Python-int weights that
-`core.scaled_ranking` derives from the instance's integer view (values times
-the lcm of the searched goods' denominators, as the view's numerators divided
-by their gcd with the row's lcm) and scale back. Each covering probe of
-`mms` also applies the waste bound of bin completion against a table of the
-subset sums of the remaining goods, built once per search and only when it
-probes (and not above `_SUBSET_SUM_CAP`); the bound cuts only subtrees that
-hold no cover, so values and witnesses are those of the search without it.
-`mms` memoizes its search on the key (scaled weights in ranking order, d,
-node budget), so a memoized share never depends on an earlier call's budget;
-`clear_cache` empties the memo. A result builds its witness partition only
-when the witness is read.
+inputs, and both are exact: they search Python-int weights, the values times
+the lcm of the searched goods' denominators (the integer view's numerators
+divided by their gcd with the row's lcm, as `core.scaled_weights` scales
+them), and scale back. `mms` is value-first: it sorts the weights alone, and
+its search returns the optimum with the bundle of each weight. The goods are
+ranked and the witness partition built only when a result's `witness` is
+read, so callers that need only the value pay for neither. Each covering
+probe of `mms` also applies the waste bound of bin completion against a
+table of the subset sums of the remaining goods, built once per search and
+only when it probes (and not above `_SUBSET_SUM_CAP`); the bound cuts only
+subtrees that hold no cover, so values and witnesses are those of the search
+without it. `mms` memoizes its search on the key (the weights in decreasing
+order, d, node budget), so a memoized share never depends on an earlier
+call's budget; `clear_cache` empties the memo.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from heapq import heapreplace
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
-from .core import Bundle, Instance, scaled_ranking
+from .core import Bundle, Instance, scaled_ranking, scaled_weights
 from .errors import BoundsError, DomainError, OracleBudgetExceeded
 
 DEFAULT_NODE_BUDGET = 50_000_000
@@ -40,47 +43,58 @@ _NUMPY_CHUNK = 1 << 12
 
 @dataclass(frozen=True, eq=False)
 class MmsResult:
-    """Exact optimum plus one witness partition attaining it, kept as bundles of
-    positions in `goods` until first read; equal when value and witness are."""
+    """Exact optimum plus one witness partition attaining it, kept as the
+    search's choice (the bundle of each good, in the order `goods()` lists
+    them) until first read; equal when value and witness are."""
 
     value: Fraction
-    goods: Sequence[int] = field(repr=False)
-    positions: Sequence[Sequence[int]] = field(repr=False)
+    goods: Callable[[], Sequence[int]] = field(repr=False)
+    choice: Sequence[int] = field(repr=False)
+    d: int = field(repr=False)
 
     @cached_property
     def witness(self) -> tuple[Bundle, ...]:
-        return tuple(Bundle.of(self.goods[p] for p in b) for b in self.positions)
+        return _bundles(self.goods(), self.choice, self.d)
 
     def __eq__(self, other):
         same = isinstance(other, MmsResult) and self.value == other.value
         return same and self.witness == other.witness
 
 
-def _ranked(inst: Instance, agent: int, subset: Bundle | None) -> tuple[list[int], list[int], int]:
-    """`core.scaled_ranking` of the agent's row of the integer view over
-    `subset` (all goods when None), with agent and goods bounds-checked."""
+def _bundles(goods: Sequence[int], choice: Sequence[int], d: int) -> tuple[Bundle, ...]:
+    """The d bundles that put goods[t] in bundle choice[t]."""
+    groups: list[list[int]] = [[] for _ in range(d)]
+    for g, j in zip(goods, choice):
+        groups[j].append(g)
+    return tuple(Bundle.of(b) for b in groups)
+
+
+def _row(inst: Instance, agent: int, subset: Bundle | None) -> tuple[Sequence[int], Sequence[int], int]:
+    """The agent's goods in `subset` (all goods when None) in ascending id
+    order, with agent and goods bounds-checked, and their weights and
+    denominator from `core.scaled_weights`: (ids, weights, denom)."""
     if not 1 <= agent <= inst.n:
         raise BoundsError(f"agent {agent} out of range [1, {inst.n}]")
+    ints, scale = inst.int_rows[agent - 1]
     if subset is None:
-        ids = range(1, inst.m + 1)
-    else:
-        ids = set(subset)
-        for g in ids:
-            if not 1 <= g <= inst.m:
-                raise BoundsError(f"good {g} out of range [1, {inst.m}]")
-    return scaled_ranking(*inst.int_rows[agent - 1], ids)
+        return (range(1, inst.m + 1), *scaled_weights(ints, scale))
+    ids = sorted(set(subset))
+    for g in ids:
+        if not 1 <= g <= inst.m:
+            raise BoundsError(f"good {g} out of range [1, {inst.m}]")
+    return (ids, *scaled_weights([ints[g - 1] for g in ids], scale))
 
 
-def _lpt_choice(weights: list[int], d: int) -> tuple[int, list[int]]:
+def _lpt_choice(weights: Sequence[int], d: int) -> tuple[int, list[int]]:
     """Largest-first greedy seed: each good to the lightest bundle (lowest
-    index), kept as a min-heap of (load, index)."""
-    heap = [(0, j) for j in range(d)]
-    choice = [0] * len(weights)
+    index), kept as a min-heap of load * d + index, which orders as
+    (load, index) does."""
+    heap = list(range(d))
+    tops = [0] * len(weights)  # the heap entry each good joins
     for t, w in enumerate(weights):
-        load, j = heap[0]
-        heapreplace(heap, (load + w, j))
-        choice[t] = j
-    return heap[0][0], choice
+        tops[t] = top = heap[0]
+        heapreplace(heap, top + w * d)
+    return heap[0] // d, [top % d for top in tops]
 
 
 class _Budget:
@@ -103,7 +117,7 @@ _MEMO_CAP = 300_000
 _SUBSET_SUM_CAP = 1 << 20
 
 
-def _subset_sums(nz: list[int]) -> list[int] | None:
+def _subset_sums(nz: Sequence[int]) -> list[int] | None:
     """`reach[t]`, a bitset with bit k set iff some subset of nz[t:] sums to
     k, for t in 0..len(nz); None when the total exceeds `_SUBSET_SUM_CAP`."""
     if sum(nz) > _SUBSET_SUM_CAP:
@@ -115,20 +129,23 @@ def _subset_sums(nz: list[int]) -> list[int] | None:
 
 
 def _cover_assignment(
-    nz: list[int], d: int, target: int, budget: _Budget, reach: list[int] | None = None
+    nz: Sequence[int], d: int, target: int, budget: _Budget, reach: list[int] | None = None
 ) -> list[int] | None:
     """Assignment giving every bundle load >= target, or None (proven impossible).
 
     Depth-first over the goods in the given (descending) order. A good may
     only enter a bundle still short of the target; once every bundle is
-    covered the remaining goods are leftovers (marked -1). Pruning: the total
-    shortfall must not exceed the remaining weight; every short bundle needs
-    ceil(deficit / next-weight) more goods, which must fit in what remains;
-    equal-load bundles and previously-failed load multisets (closed bundles
-    capped at the target) repeat subtrees and are skipped. When a good can
-    top a bundle up to exactly the target, that placement is tried alone: any
-    completion routing the good elsewhere can be rerouted through the exact
-    fill, so the branch is exhaustive.
+    covered the remaining goods are leftovers (marked -1). The loads of the
+    short bundles are kept as a sorted list, updated as each good is placed
+    and taken back, so a node reads only the short bundles, not all d.
+    Pruning: the total shortfall must not exceed the remaining weight; every
+    short bundle needs ceil(deficit / next-weight) more goods, which must fit
+    in what remains; equal-load bundles and previously-failed load multisets
+    (closed bundles capped at the target) repeat subtrees and are skipped.
+    When a good can top a bundle up to exactly the target, that placement is
+    tried alone: any completion routing the good elsewhere can be rerouted
+    through the exact fill, so the branch is exhaustive. Among equal loads
+    the lowest bundle index takes the good.
 
     Waste bound (bin completion; Korf, IJCAI 2009): with `reach` from
     `_subset_sums(nz)`, a short bundle with deficit k must receive at least
@@ -144,48 +161,52 @@ def _cover_assignment(
         suffix[t] = suffix[t + 1] + nz[t]
 
     loads = [0] * d
+    short = [l for l in loads if l < target]  # the loads below the target, ascending
     choice = [-1] * s
     failed: set[tuple[int, ...]] = set()
 
     def dfs(t: int) -> bool:
-        shortfall = 0
-        needed = 0
-        w = nz[t] if t < s else 1
-        short: list[int] = []
-        first: dict[int, int] = {}  # each short load -> its lowest bundle index
-        for j, l in enumerate(loads):
-            if l < target:
-                deficit = target - l
-                shortfall += deficit
-                needed += -(-deficit // w)
-                short.append(l)
-                first.setdefault(l, j)
-        if shortfall == 0:
+        if not short:
             return True
-        if t == s or shortfall > suffix[t] or needed > s - t:
+        shortfall = target * len(short) - sum(short)
+        if t == s or shortfall > suffix[t]:
             return False
-        short.sort()
+        w = nz[t]
+        if sum([(target - l + w - 1) // w for l in short]) > s - t:
+            return False
         key = (t, *short)
         if key in failed:
             return False
         waste = 0
         if reach is not None:
+            sums = reach[t]
+            last = -1
             for l in short:
-                x = reach[t] >> (target - l)
-                waste += (x & -x).bit_length() - 1
+                if l != last:  # equal loads are adjacent and waste alike
+                    x = sums >> (target - l)
+                    over = (x & -x).bit_length() - 1
+                    last = l
+                waste += over
         if waste > suffix[t] - shortfall:
             candidates = []  # the waste bound: no cover below this node
-        elif target - w in first:
-            candidates = [first[target - w]]
+        elif target - w in short:
+            candidates = [loads.index(target - w)]
         else:
-            candidates = [first[l] for l in sorted(first, reverse=True)]
+            candidates = [loads.index(l) for l in sorted(set(short), reverse=True)]
         for j in candidates:
             budget.spend()
-            loads[j] += w
+            l = loads[j]
+            loads[j] = l + w
+            del short[bisect_left(short, l)]
+            if l + w < target:
+                insort(short, l + w)
             choice[t] = j
             if dfs(t + 1):
                 return True
-            loads[j] -= w
+            if l + w < target:
+                del short[bisect_left(short, l + w)]
+            insort(short, l)
+            loads[j] = l
         choice[t] = -1
         if len(failed) < _MEMO_CAP:
             failed.add(key)
@@ -195,12 +216,10 @@ def _cover_assignment(
 
 
 @lru_cache(maxsize=100_000)
-def _search(
-    weights: tuple[int, ...], d: int, node_budget: int
-) -> tuple[int, tuple[tuple[int, ...], ...]]:
+def _search(weights: tuple[int, ...], d: int, node_budget: int) -> tuple[int, tuple[int, ...]]:
     """Certified max-min over partitions of `weights` (descending ints) into d parts.
 
-    Returns the optimal scaled value and per-bundle position tuples. Binary
+    Returns the optimal scaled value and the bundle of each weight. Binary
     search over the answer: the largest-first greedy seed is a feasible lower
     bound, total//d an upper bound, and each probe runs the covering search
     to completion, so the final value is certified from both sides.
@@ -210,7 +229,7 @@ def _search(
     budget returns (a search over budget raises and stores nothing).
     """
     s = len(weights) - weights.count(0)
-    nz = list(weights[:s])  # descending, so the zero weights are the tail
+    nz = weights[:s]  # descending, so the zero weights are the tail
 
     best_val, best_choice = _lpt_choice(nz, d)
 
@@ -231,11 +250,7 @@ def _search(
                     loads[j] += w
                 best_val = lo = min(loads)
 
-    bundles: list[list[int]] = [[] for _ in range(d)]
-    for t, j in enumerate(best_choice):
-        bundles[j].append(t)
-    bundles[0].extend(range(s, len(weights)))
-    return best_val, tuple(tuple(b) for b in bundles)
+    return best_val, (*best_choice, *[0] * (len(weights) - s))  # zero weights join bundle 0
 
 
 clear_cache = _search.cache_clear
@@ -251,7 +266,9 @@ def mms(
 ) -> MmsResult:
     """Exact d-bundle maximin share of `subset` for one agent, with witness.
 
-    The witness is deterministic: goods are considered in `scaled_ranking` order
+    The search runs on the goods' weights sorted in decreasing order; the
+    goods themselves are ranked only when the witness is read. The witness
+    is deterministic: goods are considered in `scaled_ranking` order
     (non-increasing value, ties by good id), bundles are tried lowest index
     first, and the first partition attaining the optimum is kept. Raises
     OracleBudgetExceeded rather than ever returning an uncertified value.
@@ -261,9 +278,11 @@ def mms(
     budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
     if budget < 0:
         raise DomainError(f"node budget must be nonnegative, got {budget}")
-    ordered_ids, weights, denom = _ranked(inst, agent, subset)
-    scaled_best, bundles = _search(tuple(weights), d, budget)
-    return MmsResult(Fraction(scaled_best, denom), ordered_ids, bundles)
+    ids, weights, denom = _row(inst, agent, subset)
+    scaled_best, choice = _search(tuple(sorted(weights, reverse=True)), d, budget)
+    ints, scale = inst.int_rows[agent - 1]
+    return MmsResult(Fraction(scaled_best, denom),
+                     lambda: scaled_ranking(ints, scale, ids)[0], choice, d)
 
 
 def mms_exhaustive(
@@ -285,24 +304,19 @@ def mms_exhaustive(
     """
     if d <= 0:
         raise DomainError(f"d must be a positive integer, got {d}")
-    ranked, ranked_weights, denom = _ranked(inst, agent, subset)
-    s = len(ranked)
+    ids, weights, denom = _row(inst, agent, subset)
+    s = len(ids)
     if s > cap:
         raise DomainError(f"subset size {s} exceeds the exhaustive enumeration cap {cap}")
-    ids = sorted(ranked)
-    weights = [w for _, w in sorted(zip(ranked, ranked_weights))]  # back to id order
-
     total_vecs = d**s
     if total_vecs > _EXHAUSTIVE_VECTOR_CAP:
         raise DomainError(f"enumeration of {total_vecs} assignment vectors exceeds the cap")
-    best, best_k = _enumerate(weights, d)
+    best, k = _enumerate(weights, d)
 
-    bundles: list[list[int]] = [[] for _ in range(d)]
-    k = best_k
+    choice = [0] * s
     for t in range(s - 1, -1, -1):
-        bundles[k % d].append(t)
-        k //= d
-    return MmsResult(Fraction(best, denom), ids, bundles)
+        k, choice[t] = divmod(k, d)
+    return MmsResult(Fraction(best, denom), lambda: ids, choice, d)
 
 
 def _canonical_prefixes(h: int, d: int) -> Iterator[tuple[int, ...]]:
@@ -319,7 +333,7 @@ def _canonical_prefixes(h: int, d: int) -> Iterator[tuple[int, ...]]:
     return extend((), 0)
 
 
-def _enumerate(weights: list[int], d: int) -> tuple[int, int]:
+def _enumerate(weights: Sequence[int], d: int) -> tuple[int, int]:
     """Best min-bundle load over all d^s assignment vectors, and the base-d index
     of the first vector attaining it.
 

@@ -212,6 +212,33 @@ class TestErrorPaths:
         assert done.returncode == 2 and "2^64" in done.stderr
         assert not (tmp_path / "inst.json").exists()
 
+    def test_gen_grid_above_the_largest_draw_names_grid(self, tmp_path, capsys):
+        out = tmp_path / "inst.json"
+        assert run(["gen", "--seed", 1, "--n", 1, "--m", 2, "--grid", 2**64, "-o", out]) == 2
+        assert "grid must be in [1, 2^64 - 1], got 18446744073709551616" in capsys.readouterr().err
+        assert not out.exists()
+        assert run(["gen", "--seed", 1, "--n", 1, "--m", 2, "--grid", 2**64 - 1, "-o", out]) == 0
+        assert max(json.loads(out.read_text())["values"][0]) < 2**64
+
+    @pytest.mark.parametrize("values", [
+        # Both denominators have 3000 digits, within Python's 4300-digit
+        # conversion limit, but the share's denominator, their product, has 6000.
+        [f"1/{10**2999 + 1}", f"1/{10**2999 + 3}"],
+        # Two 4300-digit integers: their sum, the share, has 4301 digits.
+        [10**4300 - 1, 10**4300 - 1],
+    ], ids=["fractions", "integers"])
+    @pytest.mark.parametrize("command", ["mms", "reduce", "verify"])
+    def test_result_past_the_int_string_limit_is_usage_error(self, tmp_path, capsys, command, values):
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps({"n": 1, "m": 2, "values": [values]}))
+        alloc = tmp_path / "alloc.json"
+        alloc.write_text('{"bundles":[[1,2]],"unassigned":[]}')
+        args = {"mms": ["mms", "-i", inst], "reduce": ["reduce", "-i", inst],
+                "verify": ["verify", "-i", inst, "-a", alloc, "--alpha", "3/4"]}[command]
+        assert run(args) == 2
+        captured = capsys.readouterr()
+        assert "Python's int-string conversion limit" in captured.err and captured.out == ""
+
     def test_zero_denominator_usage_error(self, tmp_path, capsys):
         inst = write_instance(tmp_path, [[1, 1]])
         for args in (["solve", "--alpha", "1/0", "-i", inst],
@@ -299,6 +326,24 @@ class TestBench:
                 ("no-path", "KeyError", "False"), ("", "KeyError", "False"),
                 ("", "DomainError", "False"), ("bad-spec", "DomainError", "False"),
                 ("bad-path", "DomainError", "False")]
+
+    def test_ratio_past_the_int_string_limit_fails_only_its_row(self, tmp_path, capsys):
+        # Each value has a 3000-digit denominator; the agents' ratios, sums
+        # over their product, have about 6000 digits.
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        row = [f"1/{10**2999 + k}" for k in (1, 1, 3, 3, 7, 7)]
+        (corpus / "long.json").write_text(json.dumps({"n": 2, "m": 6, "values": [row, row]}))
+        write_instance(corpus, [[5, 4, 3]], "easy.json")
+        manifest = corpus / "manifest.json"
+        manifest.write_text(json.dumps({"entries": [
+            {"id": "long", "path": "long.json"}, {"id": "easy", "path": "easy.json"}]}))
+        out_csv = tmp_path / "bench.csv"
+        assert run(["bench", "-i", manifest, "-o", out_csv]) == 1
+        assert json.loads(capsys.readouterr().out)["failed"] == 1
+        long, easy = csv.DictReader(out_csv.open())
+        assert (long["status"], long["min_ratio"], long["pass"]) == ("DomainError", "", "False")
+        assert (easy["status"], easy["pass"]) == ("ok", "True")
 
     @pytest.mark.parametrize(
         "manifest", [[], "x", {"entries": None}, {"entries": 5}, {"entries": {}}],

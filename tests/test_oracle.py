@@ -13,14 +13,20 @@ import pytest
 
 import mmskit
 from mmskit import (
+    ALPHA_MAX,
     BoundsError,
     Bundle,
     DomainError,
     OracleBudgetExceeded,
+    check_alpha_mms,
     mms,
     mms_exhaustive,
+    reduce,
+    solve,
     value,
 )
+from mmskit import oracle
+from mmskit.gen import default_corpus, generate
 from mmskit.oracle import (
     DEFAULT_NODE_BUDGET,
     _Budget,
@@ -332,6 +338,69 @@ class TestWasteBound:
         res = mms(big, 1, 3)
         assert res.value == c * mms(make_instance([row]), 1, 3).value
         assert_valid_witness(big, 1, 3, None, res)
+
+
+class TestSearchTree:
+    # Total search nodes on fixed rows. Values and witnesses alone would not
+    # notice a pruning test that stopped cutting or a branching order that
+    # moved; these counts change with either.
+    @staticmethod
+    def search_nodes(monkeypatch, rows, d):
+        budgets = []
+
+        class Counted(_Budget):
+            def __init__(self, limit):
+                super().__init__(limit)
+                budgets.append(self)
+
+        monkeypatch.setattr(oracle, "_Budget", Counted)
+        for row in rows:
+            _search(tuple(sorted(row, reverse=True)), d, DEFAULT_NODE_BUDGET)
+        return sum(b.nodes for b in budgets)
+
+    def test_hard_rows_at_d_6(self, monkeypatch):
+        rows = []
+        for seed in range(6):
+            draw = random.Random(seed)
+            rows.append([draw.randint(1, 1000) for _ in range(22)])
+        assert self.search_nodes(monkeypatch, rows, 6) == 152_026
+
+    def test_grid_5_rows_at_d_17(self, monkeypatch):
+        # The first 40 rows of 50 goods on grid 5 whose greedy seed falls
+        # below total // 17, so that every search runs covering probes.
+        rows = []
+        seed = 0
+        while len(rows) < 40:
+            draw = random.Random(seed)
+            row = [draw.randint(0, 5) for _ in range(50)]
+            nz = sorted((v for v in row if v), reverse=True)
+            if _lpt_choice(nz, 17)[0] < sum(nz) // 17:
+                rows.append(row)
+            seed += 1
+        assert self.search_nodes(monkeypatch, rows, 17) == 2_761
+
+
+def test_value_only_callers_build_no_witness(monkeypatch):
+    # `reduce` and `check_alpha_mms` read only `.value`: neither may rank the
+    # goods or build a bundle, while reading `.witness` does both.
+    class Built(Exception):
+        pass
+
+    def refuse(*args):
+        raise Built
+
+    cases = []
+    for spec in default_corpus(50):
+        inst = generate(spec)
+        cases.append((inst, solve(inst, ALPHA_MAX)[0]))
+    monkeypatch.setattr(oracle, "_bundles", refuse)
+    monkeypatch.setattr(oracle, "scaled_ranking", refuse)
+    for inst, alloc in cases:
+        clear_cache()
+        reduce(inst, Fraction(3, 3836))
+        assert check_alpha_mms(inst, alloc, ALPHA_MAX).passed
+        with pytest.raises(Built):
+            mms(inst, 1, inst.n).witness
 
 
 class TestOracleProperties:
