@@ -9,22 +9,29 @@ table of all assignments of the trailing goods (numpy, with int64 loads below
 inputs, and both are exact: they search Python-int weights, the values times
 the lcm of the searched goods' denominators (the integer view's numerators
 divided by their gcd with the row's lcm, as `core.scaled_weights` scales
-them), and scale back. `mms` is value-first: it sorts the weights alone, and
-its search returns the optimum with the bundle of each weight. The goods are
-ranked and the witness partition built only when a result's `witness` is
-read, so callers that need only the value pay for neither. Each covering
-probe of `mms` also applies the waste bound of bin completion against a
-table of the subset sums of the remaining goods, built once per search and
-only when it probes (and not above `_SUBSET_SUM_CAP`); the bound cuts only
-subtrees that hold no cover, so values and witnesses are those of the search
-without it. `mms` memoizes its search on the key (the weights in decreasing
-order, d, node budget), so a memoized share never depends on an earlier
-call's budget; `clear_cache` empties the memo.
+them), and scale back.
+
+`mms` runs two searches on the weights sorted alone, each memoized on the
+key (the weights in decreasing order, d, node budget) and each under its
+own node budget. The value search (`_search`) brackets the optimum between
+the largest-first greedy seed, improved by a move/swap local search, and
+the top-k bound snapped down to a subset sum; only when they differ does it
+run covering probes, the first one just above the seed. The witness search
+(`_witness`) runs only when a result's `witness` is read: it replays the
+binary search over the answer from the greedy seed to total // d, answering
+each probe above the known value as refuted without a search, so its
+witness is the one that binary search finds; only then are the goods ranked
+and the partition built. Each covering probe applies the waste bound of bin
+completion against a table of the subset sums of the remaining goods, built
+once per search and only when it is needed (and not above
+`_SUBSET_SUM_CAP`); the bound cuts only subtrees that hold no cover, so
+values and witnesses are those of the search without it. A memoized share
+never depends on an earlier call's budget; `clear_cache` empties both memos.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -43,18 +50,15 @@ _NUMPY_CHUNK = 1 << 12
 
 @dataclass(frozen=True, eq=False)
 class MmsResult:
-    """Exact optimum plus one witness partition attaining it, kept as the
-    search's choice (the bundle of each good, in the order `goods()` lists
-    them) until first read; equal when value and witness are."""
+    """Exact optimum plus one witness partition attaining it, built by
+    `partition` on first read; equal when value and witness are."""
 
     value: Fraction
-    goods: Callable[[], Sequence[int]] = field(repr=False)
-    choice: Sequence[int] = field(repr=False)
-    d: int = field(repr=False)
+    partition: Callable[[], tuple[Bundle, ...]] = field(repr=False)
 
     @cached_property
     def witness(self) -> tuple[Bundle, ...]:
-        return _bundles(self.goods(), self.choice, self.d)
+        return self.partition()
 
     def __eq__(self, other):
         same = isinstance(other, MmsResult) and self.value == other.value
@@ -215,14 +219,103 @@ def _cover_assignment(
     return choice if dfs(0) else None
 
 
+def _top_k_bound(nz: Sequence[int], d: int) -> int:
+    """Upper bound on the max-min of d bundles over `nz` (descending):
+    the least of (total - v_1 - ... - v_k) // (d - k) for k = 0..d-1. The k
+    largest goods lie in at most k bundles, so some d - k bundles share only
+    the rest, and the weakest of them holds at most their mean."""
+    rest = sum(nz)
+    bound = rest // d
+    for k in range(1, d):
+        rest -= nz[k - 1]
+        bound = min(bound, rest // (d - k))
+    return bound
+
+
+# Above `_SUBSET_SUM_CAP` the distinct subset sums are listed explicitly for
+# rows of at most this many goods (2^12 sums at most).
+_SNAP_GOODS = 12
+
+
+def _snapper(nz: Sequence[int], reach: list[int] | None) -> Callable[[int], int]:
+    """x -> the largest subset sum of nz at most x (for x >= 0). Every
+    bundle load is a subset sum, so a bound on the optimum snaps to one. Read
+    off `reach[0]` when the table exists, else off the sorted distinct sums
+    for rows of at most `_SNAP_GOODS` goods; longer rows past the table cap
+    keep x."""
+    if reach is not None:
+        sums = reach[0]
+        return lambda x: (sums & ((2 << x) - 1)).bit_length() - 1
+    if len(nz) > _SNAP_GOODS:
+        return lambda x: x
+    seen = {0}
+    for w in nz:
+        seen |= {v + w for v in seen}
+    ordered = sorted(seen)
+    return lambda x: ordered[bisect_right(ordered, x) - 1]
+
+
+def _improve(nz: Sequence[int], d: int, choice: list[int], hi: int) -> int:
+    """Move/swap local search on the lightest bundle (lowest index among
+    equal loads), from the assignment `choice`, which it changes in place;
+    returns the weakest load reached, stopping once it reaches `hi`.
+
+    Each step moves a good from another bundle into the lightest one, or
+    swaps a good there for a heavier one from another bundle, choosing the
+    step that leaves the lighter of the two bundles heaviest (the first such
+    step on ties). Both end above the old minimum, so the sorted loads rise
+    at every step and the search ends."""
+    loads = [0] * d
+    for w, j in zip(nz, choice):
+        loads[j] += w
+    while True:
+        low = min(loads)
+        if low >= hi:
+            return low
+        j = loads.index(low)
+        mine = [(u, nz[u]) for u, k in enumerate(choice) if k == j]
+        best, step = 0, None
+        for t, k in enumerate(choice):
+            room = loads[k] - low
+            w = nz[t]
+            if k == j or w <= best:  # no step with t raises the minimum by more
+                continue
+            for u, v in ((None, 0), *mine):  # u None: a move, else a swap
+                delta = w - v
+                if 0 < delta < room and min(delta, room - delta) > best:
+                    best, step = min(delta, room - delta), (t, u, delta)
+        if step is None:
+            return low
+        t, u, delta = step
+        k = choice[t]
+        choice[t] = j
+        if u is not None:
+            choice[u] = k
+        loads[j] += delta
+        loads[k] -= delta
+
+
+# A seed that the probe just above it does not certify usually lies well
+# below the optimum, and the optimum at or just below the upper bound; the
+# value search probes the bound itself until this many refutations, then
+# bisects.
+_TOP_PROBES = 3
+
+
 @lru_cache(maxsize=100_000)
-def _search(weights: tuple[int, ...], d: int, node_budget: int) -> tuple[int, tuple[int, ...]]:
+def _search(weights: tuple[int, ...], d: int, node_budget: int) -> int:
     """Certified max-min over partitions of `weights` (descending ints) into d parts.
 
-    Returns the optimal scaled value and the bundle of each weight. Binary
-    search over the answer: the largest-first greedy seed is a feasible lower
-    bound, total//d an upper bound, and each probe runs the covering search
-    to completion, so the final value is certified from both sides.
+    The upper bound is the top-k bound snapped down to a subset sum; the
+    lower bound is the largest-first greedy seed, improved by `_improve`
+    when it falls short. When they meet, no probe runs. Otherwise the
+    covering search probes one above the seed first (the seed is often
+    optimal, and one refutation certifies it). If that probe finds a cover,
+    it probes the upper bound itself, up to `_TOP_PROBES` refutations, then
+    bisects; after each refutation the upper bound snaps down to a subset
+    sum again. Every probe runs to completion, so the value is certified
+    from both sides. The seed is that of Deuermeyer, Friesen & Langston
+    (1982), bounded and then improved as in Haouari & Jemmali (4OR, 2008).
 
     Memoized on all three arguments: rows that rank to the same weights share
     one entry, and a memoized share is exactly what a fresh search with that
@@ -230,30 +323,72 @@ def _search(weights: tuple[int, ...], d: int, node_budget: int) -> tuple[int, tu
     """
     s = len(weights) - weights.count(0)
     nz = weights[:s]  # descending, so the zero weights are the tail
+    lo, choice = _lpt_choice(nz, d)
+    if s < d or d == 1 or lo == sum(nz) // d:  # most searches end here
+        return lo
+    hi = _top_k_bound(nz, d)
+    if lo == hi:
+        return lo
+    reach = _subset_sums(nz)
+    snap = _snapper(nz, reach)
+    hi = snap(hi)
+    if lo < hi:
+        lo = _improve(nz, d, choice, hi)
+    budget = _Budget(node_budget)
+    mid, refuted = lo + 1, 0
+    while lo < hi:
+        found = _cover_assignment(nz, d, mid, budget, reach)
+        if found is None:
+            hi = snap(mid - 1)
+            refuted += 1
+        else:
+            lo = _weakest(nz, d, found)
+        mid = hi if refuted < _TOP_PROBES else (lo + hi + 1) // 2
+    return lo
 
+
+def _weakest(nz: Sequence[int], d: int, found: list[int]) -> int:
+    """Min load of a covering assignment, leftovers (-1) joining bundle 0."""
+    loads = [0] * d
+    for w, j in zip(nz, found):
+        loads[max(j, 0)] += w
+    return min(loads)
+
+
+@lru_cache(maxsize=100_000)
+def _witness(weights: tuple[int, ...], d: int, node_budget: int, value: int) -> tuple[int, tuple[int, ...]]:
+    """The optimum `value` of `weights` (descending ints) over d parts, with
+    the bundle of each weight: the partition the binary search over the
+    answer finds, from the greedy seed up to total // d, keeping the first
+    cover of the last feasible probe. Probes above `value` hold no cover and
+    are answered without a search; the others run as in a search that did
+    not know it, so the witness is the same. Memoized like `_search`.
+    """
+    s = len(weights) - weights.count(0)
+    nz = weights[:s]
     best_val, best_choice = _lpt_choice(nz, d)
-
     if s >= d and d > 1:
         budget = _Budget(node_budget)
-        lo = best_val
-        hi = sum(nz) // d
-        reach = _subset_sums(nz) if lo < hi else None
+        lo, hi = best_val, sum(nz) // d
+        reach = _subset_sums(nz) if lo < value else None
         while lo < hi:
             mid = (lo + hi + 1) // 2
-            found = _cover_assignment(nz, d, mid, budget, reach)
+            found = _cover_assignment(nz, d, mid, budget, reach) if mid <= value else None
             if found is None:
                 hi = mid - 1
             else:
                 best_choice = [max(j, 0) for j in found]  # leftovers join bundle 0
-                loads = [0] * d
-                for w, j in zip(nz, best_choice):
-                    loads[j] += w
-                best_val = lo = min(loads)
-
+                best_val = lo = _weakest(nz, d, found)
     return best_val, (*best_choice, *[0] * (len(weights) - s))  # zero weights join bundle 0
 
 
-clear_cache = _search.cache_clear
+_MEMOS = (_search, _witness)
+
+
+def clear_cache() -> None:
+    """Empty the value and witness memos."""
+    for memo in _MEMOS:
+        memo.cache_clear()
 
 
 def mms(
@@ -266,12 +401,15 @@ def mms(
 ) -> MmsResult:
     """Exact d-bundle maximin share of `subset` for one agent, with witness.
 
-    The search runs on the goods' weights sorted in decreasing order; the
-    goods themselves are ranked only when the witness is read. The witness
+    The value search runs here, on the goods' weights sorted in decreasing
+    order; the witness search runs, and the goods are ranked, only when the
+    witness is read, each search under its own `node_budget`. The witness
     is deterministic: goods are considered in `scaled_ranking` order
     (non-increasing value, ties by good id), bundles are tried lowest index
-    first, and the first partition attaining the optimum is kept. Raises
-    OracleBudgetExceeded rather than ever returning an uncertified value.
+    first, and the partition is the first cover found at the last feasible
+    probe of the binary search over the answer. Raises OracleBudgetExceeded,
+    here for the value or on reading `witness` for the witness, rather than
+    ever returning an uncertified result.
     """
     if d <= 0:
         raise DomainError(f"d must be a positive integer, got {d}")
@@ -279,10 +417,11 @@ def mms(
     if budget < 0:
         raise DomainError(f"node budget must be nonnegative, got {budget}")
     ids, weights, denom = _row(inst, agent, subset)
-    scaled_best, choice = _search(tuple(sorted(weights, reverse=True)), d, budget)
+    key = (tuple(sorted(weights, reverse=True)), d, budget)
+    best = _search(*key)
     ints, scale = inst.int_rows[agent - 1]
-    return MmsResult(Fraction(scaled_best, denom),
-                     lambda: scaled_ranking(ints, scale, ids)[0], choice, d)
+    return MmsResult(Fraction(best, denom),
+                     lambda: _bundles(scaled_ranking(ints, scale, ids)[0], _witness(*key, best)[1], d))
 
 
 def mms_exhaustive(
@@ -316,7 +455,7 @@ def mms_exhaustive(
     choice = [0] * s
     for t in range(s - 1, -1, -1):
         k, choice[t] = divmod(k, d)
-    return MmsResult(Fraction(best, denom), lambda: ids, choice, d)
+    return MmsResult(Fraction(best, denom), lambda: _bundles(ids, choice, d))
 
 
 def _canonical_prefixes(h: int, d: int) -> Iterator[tuple[int, ...]]:

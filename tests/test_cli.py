@@ -181,6 +181,16 @@ class TestErrorPaths:
         inst = write_instance(tmp_path, [[977, 953, 911, 877, 859, 823, 787, 757, 733, 701]])
         assert run(["mms", "-i", inst, "--agent", 1, "-d", 3, "--budget", 3]) == 3
 
+    def test_witness_search_over_budget_exits_three(self, tmp_path, capsys):
+        # The value is certified without a search node, but the witness
+        # search needs 8, so `mms` fails at budget 5 and writes nothing.
+        inst = write_instance(tmp_path, [[997, 991, 983, 977, 971, 967, 953, 947]])
+        assert run(["mms", "-i", inst, "-d", 3, "--budget", 5]) == 3
+        out = capsys.readouterr()
+        assert out.out == "" and "6 nodes > budget 5" in out.err
+        assert run(["mms", "-i", inst, "-d", 3, "--budget", 8]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == "1988"
+
     def test_guarantee_violation_exit_four(self, tmp_path, monkeypatch, capsys):
         import mmskit.cli as cli
 
@@ -284,7 +294,7 @@ class TestBench:
         corpus = tmp_path / "corpus"
         corpus.mkdir()
         write_instance(corpus, [[5, 4, 3]], "easy.json")
-        write_instance(corpus, [[977, 953, 911, 877, 859, 823, 787, 757, 733, 701]] * 3,
+        write_instance(corpus, [[937, 929, 919, 911, 907, 887, 883, 881, 877, 863]] * 3,
                        "hard.json")
         manifest = corpus / "manifest.json"
         (corpus / "truncated.json").write_text((corpus / "easy.json").read_text()[:-5])

@@ -32,9 +32,13 @@ from mmskit.oracle import (
     _Budget,
     _canonical_prefixes,
     _cover_assignment,
+    _improve,
     _lpt_choice,
     _search,
+    _snapper,
     _subset_sums,
+    _top_k_bound,
+    _witness,
     clear_cache,
 )
 
@@ -340,10 +344,140 @@ class TestWasteBound:
         assert_valid_witness(big, 1, 3, None, res)
 
 
+def full_probe_sequence(weights, d):
+    """The binary search over the answer as one search: from the greedy seed
+    up to total // d, every probe run, keeping the first cover of the last
+    feasible probe. Returns ((value, choice), nodes)."""
+    s = len(weights) - weights.count(0)
+    nz = weights[:s]
+    budget = _Budget(DEFAULT_NODE_BUDGET)
+    best_val, best_choice = _lpt_choice(nz, d)
+    if s >= d > 1:
+        lo, hi = best_val, sum(nz) // d
+        reach = _subset_sums(nz) if lo < hi else None
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            found = _cover_assignment(nz, d, mid, budget, reach)
+            if found is None:
+                hi = mid - 1
+            else:
+                best_choice = [max(j, 0) for j in found]
+                loads = [0] * d
+                for w, j in zip(nz, best_choice):
+                    loads[j] += w
+                best_val = lo = min(loads)
+    return (best_val, (*best_choice, *[0] * (len(weights) - s))), budget.nodes
+
+
+class TestValueSearch:
+    def test_matches_reference_and_each_shortcut_decides_some_value(self, rng):
+        # The bounds must hold on every row, and each shortcut must be the
+        # one that spares the covering probes on some rows: the improved
+        # seed meets the snapped bound; without the top-k bound, or without
+        # the snap, or from the plain greedy seed, they would not meet.
+        counts = dict.fromkeys(("no probe", "top-k", "snap", "local search"), 0)
+        rows = 0
+        for d in (2, 3, 4, 5):
+            for k in range(150):
+                grid = (3, 100, 1000)[k % 3]
+                row = [rng.randint(0, grid) for _ in range(rng.randint(d, 10 if d < 5 else 9))]
+                weights = tuple(sorted(row, reverse=True))
+                best = mms_exhaustive(make_instance([row]), 1, d).value
+                assert _search(weights, d, DEFAULT_NODE_BUDGET) == best, (d, row)
+                nz = weights[: len(weights) - weights.count(0)]
+                if len(nz) < d:
+                    continue
+                rows += 1
+                greedy, choice = _lpt_choice(nz, d)
+                snap = _snapper(nz, _subset_sums(nz))
+                top_k = _top_k_bound(nz, d)
+                hi = snap(top_k)
+                seed = _improve(nz, d, choice, hi) if greedy < hi else greedy
+                assert greedy <= seed <= best <= hi <= top_k <= sum(nz) // d, (d, row)
+                if seed == hi:
+                    counts["no probe"] += 1
+                    counts["top-k"] += snap(sum(nz) // d) > seed
+                    counts["snap"] += top_k > seed
+                    counts["local search"] += greedy < seed
+        assert all(counts.values()), (counts, rows)
+
+    def test_snap_is_the_largest_subset_sum_at_most_x(self, rng):
+        for k in range(120):
+            nz = sorted((rng.randint(1, (3, 20, 100)[k % 3]) for _ in range(rng.randint(1, 12))), reverse=True)
+            sums = {sum(c for c, bit in zip(nz, bits) if bit) for bits in product((0, 1), repeat=len(nz))}
+            table, listed = _snapper(nz, _subset_sums(nz)), _snapper(nz, None)
+            for x in range(sum(nz) + 2):
+                expected = max(v for v in sums if v <= x)
+                assert table(x) == listed(x) == expected, (nz, x)
+        # Past the table cap, rows of more than 12 goods keep the bound.
+        assert _snapper([5] * 13, None)(31) == 31
+
+    def test_witness_with_the_value_known_replays_the_full_search(self, rng):
+        # Probes above the known value are answered without a search, so the
+        # witness search must return the value and choice of the search that
+        # ran every probe, on no more nodes.
+        budgets = []
+
+        class Counted(_Budget):
+            def __init__(self, limit):
+                super().__init__(limit)
+                budgets.append(self)
+
+        rows = fewer = 0
+        for d in range(2, 7):
+            for k in range(210):
+                grid = (3, 100, 1000)[k % 3]
+                weights = tuple(sorted((rng.randint(0, grid) for _ in range(rng.randint(d, 13))), reverse=True))
+                expected, full_nodes = full_probe_sequence(weights, d)
+                value = _search(weights, d, DEFAULT_NODE_BUDGET)
+                oracle._Budget, budgets[:] = Counted, []
+                try:
+                    got = _witness.__wrapped__(weights, d, DEFAULT_NODE_BUDGET, value)
+                finally:
+                    oracle._Budget = _Budget
+                nodes = sum(b.nodes for b in budgets)
+                assert got == expected, (d, weights)
+                assert nodes <= full_nodes, (d, weights)
+                rows += 1
+                fewer += nodes < full_nodes
+        assert rows >= 1000 and fewer > 0, (rows, fewer)
+
+    def test_probe_count_does_not_grow_with_the_digits(self, monkeypatch):
+        probes = []
+        cover = oracle._cover_assignment
+
+        def counted(*args):
+            probes.append(args[2])
+            return cover(*args)
+
+        monkeypatch.setattr(oracle, "_cover_assignment", counted)
+        # Four goods of value 1/q, q = 10^2999 + {1, 3, 7, 9}: weights of
+        # about 9000 digits. The split {1/q1, 1/q4} | {1/q2, 1/q3} is the
+        # largest subset sum under half the total, so neither solve nor
+        # verify probes (the binary search over the value range ran 9,966
+        # probes here).
+        values = [Fraction(1, 10**2999 + k) for k in (1, 3, 7, 9)]
+        inst = make_instance([values, values])
+        clear_cache()
+        alloc, _ = solve(inst, ALPHA_MAX)
+        assert check_alpha_mms(inst, alloc, ALPHA_MAX).passed
+        assert probes == []
+        # Past the table cap, a row of at most 12 goods snaps its bounds to
+        # the listed subset sums, so a row whose seed misses the optimum
+        # probes as often at 3000 digits as at two.
+        row = (72, 55, 48, 42, 34, 17, 16, 4)
+        c = 10**3000 + 7
+        assert _search(row, 3, DEFAULT_NODE_BUDGET) == 93
+        small = len(probes)
+        assert _search(tuple(w * c for w in row), 3, DEFAULT_NODE_BUDGET) == 93 * c
+        assert small == len(probes) - small == 4
+
+
 class TestSearchTree:
-    # Total search nodes on fixed rows. Values and witnesses alone would not
-    # notice a pruning test that stopped cutting or a branching order that
-    # moved; these counts change with either.
+    # Total search nodes on fixed rows, of the value search and then of the
+    # witness search. Values and witnesses alone would not notice a pruning
+    # test that stopped cutting, a branching order that moved or a bound
+    # that stopped tightening; these counts change with any of them.
     @staticmethod
     def search_nodes(monkeypatch, rows, d):
         budgets = []
@@ -354,16 +488,20 @@ class TestSearchTree:
                 budgets.append(self)
 
         monkeypatch.setattr(oracle, "_Budget", Counted)
-        for row in rows:
-            _search(tuple(sorted(row, reverse=True)), d, DEFAULT_NODE_BUDGET)
-        return sum(b.nodes for b in budgets)
+        keys = [tuple(sorted(row, reverse=True)) for row in rows]
+        values = [_search.__wrapped__(w, d, DEFAULT_NODE_BUDGET) for w in keys]
+        value_nodes = sum(b.nodes for b in budgets)
+        budgets.clear()
+        for w, v in zip(keys, values):
+            _witness.__wrapped__(w, d, DEFAULT_NODE_BUDGET, v)
+        return value_nodes, sum(b.nodes for b in budgets)
 
     def test_hard_rows_at_d_6(self, monkeypatch):
         rows = []
         for seed in range(6):
             draw = random.Random(seed)
             rows.append([draw.randint(1, 1000) for _ in range(22)])
-        assert self.search_nodes(monkeypatch, rows, 6) == 152_026
+        assert self.search_nodes(monkeypatch, rows, 6) == (145_652, 96_308)
 
     def test_grid_5_rows_at_d_17(self, monkeypatch):
         # The first 40 rows of 50 goods on grid 5 whose greedy seed falls
@@ -377,12 +515,13 @@ class TestSearchTree:
             if _lpt_choice(nz, 17)[0] < sum(nz) // 17:
                 rows.append(row)
             seed += 1
-        assert self.search_nodes(monkeypatch, rows, 17) == 2_761
+        assert self.search_nodes(monkeypatch, rows, 17) == (972, 1_972)
 
 
 def test_value_only_callers_build_no_witness(monkeypatch):
-    # `reduce` and `check_alpha_mms` read only `.value`: neither may rank the
-    # goods or build a bundle, while reading `.witness` does both.
+    # `reduce` and `check_alpha_mms` read only `.value`: neither may run the
+    # witness search, rank the goods or build a bundle, while reading
+    # `.witness` does all three.
     class Built(Exception):
         pass
 
@@ -395,6 +534,7 @@ def test_value_only_callers_build_no_witness(monkeypatch):
         cases.append((inst, solve(inst, ALPHA_MAX)[0]))
     monkeypatch.setattr(oracle, "_bundles", refuse)
     monkeypatch.setattr(oracle, "scaled_ranking", refuse)
+    monkeypatch.setattr(oracle, "_witness", refuse)
     for inst, alloc in cases:
         clear_cache()
         reduce(inst, Fraction(3, 3836))
@@ -506,11 +646,28 @@ def test_solve_and_verify_leave_numpy_unimported():
 
 class TestBudget:
     def test_budget_exceeded_is_an_error(self):
-        row = [977, 953, 911, 877, 859, 823, 787, 757, 733, 701, 683, 659]
+        # Neither the improved seed nor the snapped bound reaches the optimum
+        # 2743, so the value search must probe; its probes take 25 nodes.
+        row = [937, 929, 919, 911, 907, 887, 883, 881, 877, 863]
         inst = make_instance([row])
         clear_cache()
         with pytest.raises(OracleBudgetExceeded):
             mms(inst, 1, 3, node_budget=5)
+        assert mms(inst, 1, 3, node_budget=25).value == 2743
+
+    def test_witness_read_over_budget_is_an_error(self):
+        # The improved seed meets the snapped bound, so the value costs no
+        # node; the witness search starts from the plain greedy seed, which
+        # falls short, and its feasible probes take 8 nodes.
+        inst = make_instance([[997, 991, 983, 977, 971, 967, 953, 947]])
+        clear_cache()
+        res = mms(inst, 1, 3, node_budget=5)
+        assert res.value == 1988
+        for _ in range(2):  # a failed read is not cached
+            with pytest.raises(OracleBudgetExceeded) as exc:
+                res.witness
+            assert (exc.value.nodes, exc.value.budget) == (6, 5)
+        assert_valid_witness(inst, 1, 3, None, mms(inst, 1, 3, node_budget=8))
 
     def test_budget_error_carries_counts(self):
         inst = make_instance([[977, 953, 911, 877, 859, 823, 787]])
