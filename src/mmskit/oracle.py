@@ -11,22 +11,21 @@ the lcm of the searched goods' denominators (the integer view's numerators
 divided by their gcd with the row's lcm, as `core.scaled_weights` scales
 them), and scale back.
 
-`mms` runs two searches on the weights sorted alone, each memoized on the
-key (the weights in decreasing order, d, node budget) and each under its
-own node budget. The value search (`_search`) brackets the optimum between
-the largest-first greedy seed, improved by a move/swap local search, and
-the top-k bound snapped down to a subset sum; only when they differ does it
-run covering probes, the first one just above the seed. The witness search
-(`_witness`) runs only when a result's `witness` is read: it replays the
-binary search over the answer from the greedy seed to total // d, answering
-each probe above the known value as refuted without a search, so its
-witness is the one that binary search finds; only then are the goods ranked
-and the partition built. Each covering probe applies the waste bound of bin
-completion against a table of the subset sums of the remaining goods, built
-once per search and only when it is needed (and not above
+`mms` runs one search (`_search`) on the weights sorted alone, memoized on
+the key (the weights in decreasing order, d, node budget). It brackets the
+optimum between the largest-first greedy seed, improved by a move/swap
+local search, and the top-k bound snapped down to a subset sum; only when
+they differ does it run covering probes, the first one just above the
+seed. The witness is the assignment that certified the lower bound: the
+seed's, the local search's when no probe finds a cover, else the first
+cover of the last feasible probe. It is memoized with the value, and the
+goods are ranked and the partition built only when a result's `witness` is
+read, which never searches. Each covering probe applies the waste bound of
+bin completion against a table of the subset sums of the remaining goods,
+built once per search and only when it is needed (and not above
 `_SUBSET_SUM_CAP`); the bound cuts only subtrees that hold no cover, so
 values and witnesses are those of the search without it. A memoized share
-never depends on an earlier call's budget; `clear_cache` empties both memos.
+never depends on an earlier call's budget; `clear_cache` empties the memo.
 """
 
 from __future__ import annotations
@@ -36,6 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from heapq import heapreplace
+from itertools import zip_longest
 from typing import Callable, Iterator, Sequence
 
 from .core import Bundle, Instance, scaled_ranking, scaled_weights
@@ -66,9 +66,10 @@ class MmsResult:
 
 
 def _bundles(goods: Sequence[int], choice: Sequence[int], d: int) -> tuple[Bundle, ...]:
-    """The d bundles that put goods[t] in bundle choice[t]."""
+    """The d bundles that put goods[t] in bundle choice[t], and the goods
+    past the end of `choice` in bundle 0."""
     groups: list[list[int]] = [[] for _ in range(d)]
-    for g, j in zip(goods, choice):
+    for g, j in zip_longest(goods, choice, fillvalue=0):
         groups[j].append(g)
     return tuple(Bundle.of(b) for b in groups)
 
@@ -303,8 +304,11 @@ _TOP_PROBES = 3
 
 
 @lru_cache(maxsize=100_000)
-def _search(weights: tuple[int, ...], d: int, node_budget: int) -> int:
-    """Certified max-min over partitions of `weights` (descending ints) into d parts.
+def _search(weights: tuple[int, ...], d: int, node_budget: int) -> tuple[int, list[int]]:
+    """Certified max-min over partitions of `weights` (descending ints) into
+    d parts, and a partition attaining it: the bundle of each nonzero weight,
+    in a list that callers must not change (it is memoized); the zero
+    weights, the tail, belong in bundle 0.
 
     The upper bound is the top-k bound snapped down to a subset sum; the
     lower bound is the largest-first greedy seed, improved by `_improve`
@@ -317,6 +321,10 @@ def _search(weights: tuple[int, ...], d: int, node_budget: int) -> int:
     from both sides. The seed is that of Deuermeyer, Friesen & Langston
     (1982), bounded and then improved as in Haouari & Jemmali (4OR, 2008).
 
+    The partition is the assignment that certified the lower bound: the
+    greedy seed's, `_improve`'s when no probe finds a cover, else the first
+    cover of the last feasible probe, whose leftovers join bundle 0.
+
     Memoized on all three arguments: rows that rank to the same weights share
     one entry, and a memoized share is exactly what a fresh search with that
     budget returns (a search over budget raises and stores nothing).
@@ -324,71 +332,37 @@ def _search(weights: tuple[int, ...], d: int, node_budget: int) -> int:
     s = len(weights) - weights.count(0)
     nz = weights[:s]  # descending, so the zero weights are the tail
     lo, choice = _lpt_choice(nz, d)
-    if s < d or d == 1 or lo == sum(nz) // d:  # most searches end here
-        return lo
-    hi = _top_k_bound(nz, d)
-    if lo == hi:
-        return lo
-    reach = _subset_sums(nz)
-    snap = _snapper(nz, reach)
-    hi = snap(hi)
+    # Most searches end at the seed, which meets total // d or the top-k bound.
+    hi = _top_k_bound(nz, d) if s >= d > 1 and lo < sum(nz) // d else lo
     if lo < hi:
-        lo = _improve(nz, d, choice, hi)
-    budget = _Budget(node_budget)
-    mid, refuted = lo + 1, 0
-    while lo < hi:
-        found = _cover_assignment(nz, d, mid, budget, reach)
-        if found is None:
-            hi = snap(mid - 1)
-            refuted += 1
-        else:
-            lo = _weakest(nz, d, found)
-        mid = hi if refuted < _TOP_PROBES else (lo + hi + 1) // 2
-    return lo
+        reach = _subset_sums(nz)
+        snap = _snapper(nz, reach)
+        hi = snap(hi)
+        if lo < hi:
+            lo = _improve(nz, d, choice, hi)
+        budget = _Budget(node_budget)
+        mid, refuted = lo + 1, 0
+        while lo < hi:
+            found = _cover_assignment(nz, d, mid, budget, reach)
+            if found is None:
+                hi = snap(mid - 1)
+                refuted += 1
+            else:
+                choice = [max(j, 0) for j in found]
+                lo = _weakest(nz, d, choice)
+            mid = hi if refuted < _TOP_PROBES else (lo + hi + 1) // 2
+    return lo, choice
 
 
-def _weakest(nz: Sequence[int], d: int, found: list[int]) -> int:
-    """Min load of a covering assignment, leftovers (-1) joining bundle 0."""
+def _weakest(nz: Sequence[int], d: int, choice: Sequence[int]) -> int:
+    """Min load of the assignment that puts nz[t] in bundle choice[t]."""
     loads = [0] * d
-    for w, j in zip(nz, found):
-        loads[max(j, 0)] += w
+    for w, j in zip(nz, choice):
+        loads[j] += w
     return min(loads)
 
 
-@lru_cache(maxsize=100_000)
-def _witness(weights: tuple[int, ...], d: int, node_budget: int, value: int) -> tuple[int, tuple[int, ...]]:
-    """The optimum `value` of `weights` (descending ints) over d parts, with
-    the bundle of each weight: the partition the binary search over the
-    answer finds, from the greedy seed up to total // d, keeping the first
-    cover of the last feasible probe. Probes above `value` hold no cover and
-    are answered without a search; the others run as in a search that did
-    not know it, so the witness is the same. Memoized like `_search`.
-    """
-    s = len(weights) - weights.count(0)
-    nz = weights[:s]
-    best_val, best_choice = _lpt_choice(nz, d)
-    if s >= d and d > 1:
-        budget = _Budget(node_budget)
-        lo, hi = best_val, sum(nz) // d
-        reach = _subset_sums(nz) if lo < value else None
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            found = _cover_assignment(nz, d, mid, budget, reach) if mid <= value else None
-            if found is None:
-                hi = mid - 1
-            else:
-                best_choice = [max(j, 0) for j in found]  # leftovers join bundle 0
-                best_val = lo = _weakest(nz, d, found)
-    return best_val, (*best_choice, *[0] * (len(weights) - s))  # zero weights join bundle 0
-
-
-_MEMOS = (_search, _witness)
-
-
-def clear_cache() -> None:
-    """Empty the value and witness memos."""
-    for memo in _MEMOS:
-        memo.cache_clear()
+clear_cache = _search.cache_clear
 
 
 def mms(
@@ -401,15 +375,12 @@ def mms(
 ) -> MmsResult:
     """Exact d-bundle maximin share of `subset` for one agent, with witness.
 
-    The value search runs here, on the goods' weights sorted in decreasing
-    order; the witness search runs, and the goods are ranked, only when the
-    witness is read, each search under its own `node_budget`. The witness
-    is deterministic: goods are considered in `scaled_ranking` order
-    (non-increasing value, ties by good id), bundles are tried lowest index
-    first, and the partition is the first cover found at the last feasible
-    probe of the binary search over the answer. Raises OracleBudgetExceeded,
-    here for the value or on reading `witness` for the witness, rather than
-    ever returning an uncertified result.
+    The search runs here, under `node_budget`, on the goods' weights sorted
+    in decreasing order, and raises OracleBudgetExceeded rather than ever
+    returning an uncertified result. The witness is the partition that
+    certified the value (see `_search`). Only reading it ranks the goods, in
+    `scaled_ranking` order (non-increasing value, ties by good id), and
+    builds the bundles; it never searches or raises.
     """
     if d <= 0:
         raise DomainError(f"d must be a positive integer, got {d}")
@@ -418,10 +389,9 @@ def mms(
         raise DomainError(f"node budget must be nonnegative, got {budget}")
     ids, weights, denom = _row(inst, agent, subset)
     key = (tuple(sorted(weights, reverse=True)), d, budget)
-    best = _search(*key)
+    best, choice = _search(*key)
     ints, scale = inst.int_rows[agent - 1]
-    return MmsResult(Fraction(best, denom),
-                     lambda: _bundles(scaled_ranking(ints, scale, ids)[0], _witness(*key, best)[1], d))
+    return MmsResult(Fraction(best, denom), lambda: _bundles(scaled_ranking(ints, scale, ids)[0], choice, d))
 
 
 def mms_exhaustive(

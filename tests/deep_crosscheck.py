@@ -6,9 +6,11 @@ most _EXHAUSTIVE_VECTOR_CAP assignment vectors), on grids 20, 100 and 1000:
 longer than the tier-1 cross-checks, so CI runs it as its own step. At
 d = 2 and 3 the improved seed and the snapped top-k bound decide most
 values without a probe; at d = 4-6 the covering search's pruning decides
-more of them. Both
-values must be equal, and each witness's weakest bundle must be worth the
-value. Prints one line per d and exits 1 on the first disagreement.
+more of them. Both values must be equal, and each witness must hold exactly
+d bundles that cover the row's goods once (`core.partitions`), its weakest
+bundle worth the value; `mms` witnesses come from the greedy seed, the local
+search or a probe's cover. Prints one line per d and exits 1 on the first
+disagreement.
 
     PYTHONPATH=src python tests/deep_crosscheck.py
 """
@@ -19,6 +21,7 @@ import sys
 import time
 
 from mmskit import Instance, mms, mms_exhaustive, value
+from mmskit.core import partitions
 from mmskit.gen import SplitMix64
 from mmskit.oracle import _EXHAUSTIVE_VECTOR_CAP, EXHAUSTIVE_SUBSET_CAP, clear_cache
 
@@ -40,9 +43,12 @@ def main() -> int:
                     clear_cache()
                     fast, reference = mms(inst, 1, d), mms_exhaustive(inst, 1, d)
                     weakest = [min(value(inst, 1, b) for b in r.witness) for r in (fast, reference)]
-                    if not fast.value == reference.value == weakest[0] == weakest[1]:
+                    split = [len(r.witness) == d and partitions(r.witness, range(1, m + 1))
+                             for r in (fast, reference)]
+                    if not (fast.value == reference.value == weakest[0] == weakest[1] and all(split)):
                         print(f"d={d} row={[str(v) for v in inst.values[0]]}: mms {fast.value}, "
-                              f"mms_exhaustive {reference.value}, weakest bundles {weakest}")
+                              f"mms_exhaustive {reference.value}, weakest bundles {weakest}, "
+                              f"d-bundle partitions {split}")
                         return 1
                     checked += 1
         print(f"d={d}: m {d + 2}-{m_max}, {checked} rows agree in {time.perf_counter() - t0:.1f}s")

@@ -177,19 +177,12 @@ class TestErrorPaths:
         out = capsys.readouterr()
         assert out.out == "" and "nonnegative" in out.err
 
-    def test_budget_exhaustion_exit_three(self, tmp_path):
-        inst = write_instance(tmp_path, [[977, 953, 911, 877, 859, 823, 787, 757, 733, 701]])
-        assert run(["mms", "-i", inst, "--agent", 1, "-d", 3, "--budget", 3]) == 3
-
-    def test_witness_search_over_budget_exits_three(self, tmp_path, capsys):
-        # The value is certified without a search node, but the witness
-        # search needs 8, so `mms` fails at budget 5 and writes nothing.
-        inst = write_instance(tmp_path, [[997, 991, 983, 977, 971, 967, 953, 947]])
-        assert run(["mms", "-i", inst, "-d", 3, "--budget", 5]) == 3
-        out = capsys.readouterr()
-        assert out.out == "" and "6 nodes > budget 5" in out.err
-        assert run(["mms", "-i", inst, "-d", 3, "--budget", 8]) == 0
-        assert json.loads(capsys.readouterr().out)["value"] == "1988"
+    def test_budget_exhaustion_exit_three(self, tmp_path, capsys):
+        # The value search must probe on this row, and its probes take 25
+        # nodes, so `mms` fails at budget 5 and writes nothing.
+        inst = write_instance(tmp_path, [[937, 929, 919, 911, 907, 887, 883, 881, 877, 863]])
+        assert run(["mms", "-i", inst, "--agent", 1, "-d", 3, "--budget", 5]) == 3
+        assert capsys.readouterr().out == ""
 
     def test_guarantee_violation_exit_four(self, tmp_path, monkeypatch, capsys):
         import mmskit.cli as cli

@@ -33,8 +33,8 @@ from mmskit.gen import default_corpus, generate
 from mmskit.transforms import to_delta_oni
 
 GOLDEN_SHA256 = "767685b00bed869e6045f9e85f4a9de30ddfdb50b644e673d8b3a003ae743960"
-REDUCE_MMS_SHA256 = "f5f9bdb65c6877fc27fb78394b39215e9fc5bc1629199398bf9284a1bd7a152a"
-CLI_SHA256 = "232db32103b070fa0a5a74c5e98b52624b822760c4052e3d033f5992f7a29b4e"
+REDUCE_MMS_SHA256 = "c9f2bd0fd4c0bc80261f923a5e2af848718a70edcad6101524bc1997cc3c4ba0"
+CLI_SHA256 = "3eae65bdc7dc16e5cdb4ff8c75126cb73fb59ddd0dbe1fdbe42a9abbee4fcc9b"
 
 
 def _award_jsonable(event: dict) -> dict:

@@ -38,7 +38,6 @@ from mmskit.oracle import (
     _snapper,
     _subset_sums,
     _top_k_bound,
-    _witness,
     clear_cache,
 )
 
@@ -344,31 +343,6 @@ class TestWasteBound:
         assert_valid_witness(big, 1, 3, None, res)
 
 
-def full_probe_sequence(weights, d):
-    """The binary search over the answer as one search: from the greedy seed
-    up to total // d, every probe run, keeping the first cover of the last
-    feasible probe. Returns ((value, choice), nodes)."""
-    s = len(weights) - weights.count(0)
-    nz = weights[:s]
-    budget = _Budget(DEFAULT_NODE_BUDGET)
-    best_val, best_choice = _lpt_choice(nz, d)
-    if s >= d > 1:
-        lo, hi = best_val, sum(nz) // d
-        reach = _subset_sums(nz) if lo < hi else None
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            found = _cover_assignment(nz, d, mid, budget, reach)
-            if found is None:
-                hi = mid - 1
-            else:
-                best_choice = [max(j, 0) for j in found]
-                loads = [0] * d
-                for w, j in zip(nz, best_choice):
-                    loads[j] += w
-                best_val = lo = min(loads)
-    return (best_val, (*best_choice, *[0] * (len(weights) - s))), budget.nodes
-
-
 class TestValueSearch:
     def test_matches_reference_and_each_shortcut_decides_some_value(self, rng):
         # The bounds must hold on every row, and each shortcut must be the
@@ -383,7 +357,7 @@ class TestValueSearch:
                 row = [rng.randint(0, grid) for _ in range(rng.randint(d, 10 if d < 5 else 9))]
                 weights = tuple(sorted(row, reverse=True))
                 best = mms_exhaustive(make_instance([row]), 1, d).value
-                assert _search(weights, d, DEFAULT_NODE_BUDGET) == best, (d, row)
+                assert _search(weights, d, DEFAULT_NODE_BUDGET)[0] == best, (d, row)
                 nz = weights[: len(weights) - weights.count(0)]
                 if len(nz) < d:
                     continue
@@ -412,36 +386,6 @@ class TestValueSearch:
         # Past the table cap, rows of more than 12 goods keep the bound.
         assert _snapper([5] * 13, None)(31) == 31
 
-    def test_witness_with_the_value_known_replays_the_full_search(self, rng):
-        # Probes above the known value are answered without a search, so the
-        # witness search must return the value and choice of the search that
-        # ran every probe, on no more nodes.
-        budgets = []
-
-        class Counted(_Budget):
-            def __init__(self, limit):
-                super().__init__(limit)
-                budgets.append(self)
-
-        rows = fewer = 0
-        for d in range(2, 7):
-            for k in range(210):
-                grid = (3, 100, 1000)[k % 3]
-                weights = tuple(sorted((rng.randint(0, grid) for _ in range(rng.randint(d, 13))), reverse=True))
-                expected, full_nodes = full_probe_sequence(weights, d)
-                value = _search(weights, d, DEFAULT_NODE_BUDGET)
-                oracle._Budget, budgets[:] = Counted, []
-                try:
-                    got = _witness.__wrapped__(weights, d, DEFAULT_NODE_BUDGET, value)
-                finally:
-                    oracle._Budget = _Budget
-                nodes = sum(b.nodes for b in budgets)
-                assert got == expected, (d, weights)
-                assert nodes <= full_nodes, (d, weights)
-                rows += 1
-                fewer += nodes < full_nodes
-        assert rows >= 1000 and fewer > 0, (rows, fewer)
-
     def test_probe_count_does_not_grow_with_the_digits(self, monkeypatch):
         probes = []
         cover = oracle._cover_assignment
@@ -467,61 +411,118 @@ class TestValueSearch:
         # probes as often at 3000 digits as at two.
         row = (72, 55, 48, 42, 34, 17, 16, 4)
         c = 10**3000 + 7
-        assert _search(row, 3, DEFAULT_NODE_BUDGET) == 93
+        assert _search(row, 3, DEFAULT_NODE_BUDGET)[0] == 93
         small = len(probes)
-        assert _search(tuple(w * c for w in row), 3, DEFAULT_NODE_BUDGET) == 93 * c
+        assert _search(tuple(w * c for w in row), 3, DEFAULT_NODE_BUDGET)[0] == 93 * c
         assert small == len(probes) - small == 4
 
 
+def hard_rows_at_d_6():
+    """Six rows of 22 goods on grid 1000."""
+    draws = [random.Random(seed) for seed in range(6)]
+    return [[draw.randint(1, 1000) for _ in range(22)] for draw in draws]
+
+
+def grid_5_rows_at_d_17():
+    """The first 40 rows of 50 goods on grid 5 whose greedy seed falls below
+    total // 17."""
+    rows = []
+    seed = 0
+    while len(rows) < 40:
+        draw = random.Random(seed)
+        row = [draw.randint(0, 5) for _ in range(50)]
+        nz = sorted((v for v in row if v), reverse=True)
+        if _lpt_choice(nz, 17)[0] < sum(nz) // 17:
+            rows.append(row)
+        seed += 1
+    return rows
+
+
+def record_budgets(monkeypatch):
+    """Make every search budget record itself in the returned list, so a
+    test can add up the nodes its searches spent."""
+    made = []
+
+    class Counted(_Budget):
+        def __init__(self, limit):
+            super().__init__(limit)
+            made.append(self)
+
+    monkeypatch.setattr(oracle, "_Budget", Counted)
+    return made
+
+
 class TestSearchTree:
-    # Total search nodes on fixed rows, of the value search and then of the
-    # witness search. Values and witnesses alone would not notice a pruning
-    # test that stopped cutting, a branching order that moved or a bound
-    # that stopped tightening; these counts change with any of them.
+    # Total search nodes on fixed rows. Values and witnesses alone would not
+    # notice a pruning test that stopped cutting, a branching order that
+    # moved or a bound that stopped tightening; these counts change with
+    # any of them.
     @staticmethod
     def search_nodes(monkeypatch, rows, d):
-        budgets = []
-
-        class Counted(_Budget):
-            def __init__(self, limit):
-                super().__init__(limit)
-                budgets.append(self)
-
-        monkeypatch.setattr(oracle, "_Budget", Counted)
-        keys = [tuple(sorted(row, reverse=True)) for row in rows]
-        values = [_search.__wrapped__(w, d, DEFAULT_NODE_BUDGET) for w in keys]
-        value_nodes = sum(b.nodes for b in budgets)
-        budgets.clear()
-        for w, v in zip(keys, values):
-            _witness.__wrapped__(w, d, DEFAULT_NODE_BUDGET, v)
-        return value_nodes, sum(b.nodes for b in budgets)
+        budgets = record_budgets(monkeypatch)
+        for row in rows:
+            _search.__wrapped__(tuple(sorted(row, reverse=True)), d, DEFAULT_NODE_BUDGET)
+        return sum(b.nodes for b in budgets)
 
     def test_hard_rows_at_d_6(self, monkeypatch):
-        rows = []
-        for seed in range(6):
-            draw = random.Random(seed)
-            rows.append([draw.randint(1, 1000) for _ in range(22)])
-        assert self.search_nodes(monkeypatch, rows, 6) == (145_652, 96_308)
+        assert self.search_nodes(monkeypatch, hard_rows_at_d_6(), 6) == 145_652
 
     def test_grid_5_rows_at_d_17(self, monkeypatch):
-        # The first 40 rows of 50 goods on grid 5 whose greedy seed falls
-        # below total // 17, so that every search runs covering probes.
-        rows = []
-        seed = 0
-        while len(rows) < 40:
-            draw = random.Random(seed)
-            row = [draw.randint(0, 5) for _ in range(50)]
-            nz = sorted((v for v in row if v), reverse=True)
-            if _lpt_choice(nz, 17)[0] < sum(nz) // 17:
-                rows.append(row)
-            seed += 1
-        assert self.search_nodes(monkeypatch, rows, 17) == (972, 1_972)
+        assert self.search_nodes(monkeypatch, grid_5_rows_at_d_17(), 17) == 972
+
+
+def test_witness_read_is_free_and_valid_on_rows_that_probe(monkeypatch, rng):
+    # The witness is the assignment that certified the value: the greedy
+    # seed's, the local search's when no probe finds a cover, else the first
+    # cover of the last feasible probe. It comes with the value, so reading
+    # it spends no node, and a budget that certifies the value suffices.
+    covers, improved = [], []
+    cover, improve = oracle._cover_assignment, oracle._improve
+
+    def recorded_cover(*args):
+        found = cover(*args)
+        if found is not None:
+            covers.append([max(j, 0) for j in found])
+        return found
+
+    def recorded_improve(nz, d, choice, hi):
+        low = improve(nz, d, choice, hi)
+        improved.append(list(choice))
+        return low
+
+    monkeypatch.setattr(oracle, "_cover_assignment", recorded_cover)
+    monkeypatch.setattr(oracle, "_improve", recorded_improve)
+    budgets = record_budgets(monkeypatch)
+    cases = [(row, 6) for row in hard_rows_at_d_6()] + [(row, 17) for row in grid_5_rows_at_d_17()]
+    for k in range(300):
+        d = 2 + k % 5
+        cases.append(([rng.randint(0, (3, 20, 100)[k % 3]) for _ in range(rng.randint(d, 14))], d))
+    sources = dict.fromkeys(("seed", "improve", "cover"), 0)
+    for row, d in cases:
+        inst = make_instance([row])
+        for log in (covers, improved, budgets):
+            log.clear()
+        clear_cache()
+        mms(inst, 1, d)
+        nodes = sum(b.nodes for b in budgets)
+        nz = sorted((v for v in row if v), reverse=True)
+        seed = _lpt_choice(nz, d)[1]
+        certifier = covers[-1] if covers else improved[-1] if improved else seed
+        sources["cover" if covers else "seed" if certifier == seed else "improve"] += 1
+        ranked = sorted(range(1, len(row) + 1), key=lambda g: (-row[g - 1], g))
+        expected = [sorted(g for g, j in zip(ranked, certifier + [0] * len(row)) if j == b) for b in range(d)]
+        clear_cache()
+        res = mms(inst, 1, d, node_budget=nodes)
+        spent = [b.nodes for b in budgets]
+        assert [list(b.goods) for b in res.witness] == expected, (d, row)
+        assert [b.nodes for b in budgets] == spent, (d, row)
+        assert_valid_witness(inst, 1, d, None, res)
+    assert all(sources.values()), sources
 
 
 def test_value_only_callers_build_no_witness(monkeypatch):
-    # `reduce` and `check_alpha_mms` read only `.value`: neither may run the
-    # witness search, rank the goods or build a bundle, while reading
-    # `.witness` does all three.
+    # `reduce` and `check_alpha_mms` read only `.value`: neither may rank the
+    # goods or build a bundle, while reading `.witness` does both.
     class Built(Exception):
         pass
 
@@ -534,7 +535,6 @@ def test_value_only_callers_build_no_witness(monkeypatch):
         cases.append((inst, solve(inst, ALPHA_MAX)[0]))
     monkeypatch.setattr(oracle, "_bundles", refuse)
     monkeypatch.setattr(oracle, "scaled_ranking", refuse)
-    monkeypatch.setattr(oracle, "_witness", refuse)
     for inst, alloc in cases:
         clear_cache()
         reduce(inst, Fraction(3, 3836))
@@ -654,20 +654,6 @@ class TestBudget:
         with pytest.raises(OracleBudgetExceeded):
             mms(inst, 1, 3, node_budget=5)
         assert mms(inst, 1, 3, node_budget=25).value == 2743
-
-    def test_witness_read_over_budget_is_an_error(self):
-        # The improved seed meets the snapped bound, so the value costs no
-        # node; the witness search starts from the plain greedy seed, which
-        # falls short, and its feasible probes take 8 nodes.
-        inst = make_instance([[997, 991, 983, 977, 971, 967, 953, 947]])
-        clear_cache()
-        res = mms(inst, 1, 3, node_budget=5)
-        assert res.value == 1988
-        for _ in range(2):  # a failed read is not cached
-            with pytest.raises(OracleBudgetExceeded) as exc:
-                res.witness
-            assert (exc.value.nodes, exc.value.budget) == (6, 5)
-        assert_valid_witness(inst, 1, 3, None, mms(inst, 1, 3, node_budget=8))
 
     def test_budget_error_carries_counts(self):
         inst = make_instance([[977, 953, 911, 877, 859, 823, 787]])
