@@ -15,6 +15,11 @@ at a time: bag k grows until it is awarded before bag k+1 is looked at; it
 returns its allocation with the R2/R3/R5 counts.
 
 `solve` is the one driver: reduce, run one of the three allocators, lift.
+Its thresholds depend only on (alpha, delta): the parameter checks and eps
+are derived once per distinct pair, 3/4 + eps and 3/4 + delta once per
+value (`transforms.three_quarters_plus`), and the heavy-tail bound and the
+case split are compared in integers, so once a pair has been seen a solve
+does no `Fraction` arithmetic of its own.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .core import Allocation, Bundle, Instance, exact, is_ordered, partitions, rat_to_text
 from .errors import ContractViolation, DomainError, GuaranteeViolation
@@ -35,12 +41,14 @@ from .transforms import (
     meets_bar,
     pick_recipient,
     rule_rows,
+    three_quarters_plus,
     to_delta_oni,
 )
 
 DELTA_DEFAULT = Fraction(3, 956)
 EPS_MAX = Fraction(3, 3836)
 ALPHA_MAX = Fraction(3, 4) + EPS_MAX
+DELTA_MMS1_MAX = Fraction(11, 1000)
 
 
 @dataclass(frozen=True)
@@ -101,7 +109,8 @@ def classify_agents(inst: Instance, delta: Fraction) -> AgentClassification:
     n, m = inst.n, inst.m
     if m < 2 * n:
         raise ContractViolation(f"classification requires m >= 2n, got n={n}, m={m}")
-    heavy_tail = Fraction(1, 4) - 5 * delta
+    # A tail is heavy when tail >= (1/4 - 5 delta) * L; times 4q for delta = p/q.
+    tail_scale, bound_scale = 4 * delta.denominator, delta.denominator - 20 * delta.numerator
     n1, n2, n1_1, n1_2 = set(), set(), set(), set()
     for i, (nums, den) in enumerate(inst.int_rows, start=1):
         # Over L = den: a pair beats 1 when its numerators beat L.
@@ -110,7 +119,7 @@ def classify_agents(inst: Instance, delta: Fraction) -> AgentClassification:
             continue
         n1.add(i)
         tail = nums[2 * n] if m >= 2 * n + 1 else 0
-        heavy = tail * heavy_tail.denominator >= heavy_tail.numerator * den
+        heavy = tail * tail_scale >= bound_scale * den
         (n1_1 if heavy else n1_2).add(i)
     return AgentClassification(
         n1=frozenset(n1), n2=frozenset(n2), n1_1=frozenset(n1_1), n1_2=frozenset(n1_2)
@@ -216,8 +225,10 @@ def bag_fill(inst: Instance, alpha: Fraction, *, audit: list | None = None) -> A
 
 def _small_n1_1(cls: AgentClassification, n: int, delta: Fraction) -> bool:
     # Exact comparison of |N11| / n against (1/4 - delta) / (1/4 + delta/3),
-    # written multiplicatively.
-    return len(cls.n1_1) * (Fraction(1, 4) + delta / 3) <= n * (Fraction(1, 4) - delta)
+    # written multiplicatively: |N11| (1/4 + delta/3) <= n (1/4 - delta),
+    # times 12q for delta = p/q.
+    p, q = delta.numerator, delta.denominator
+    return len(cls.n1_1) * (3 * q + 4 * p) <= n * (3 * q - 12 * p)
 
 
 def approx_mms1(
@@ -233,12 +244,12 @@ def approx_mms1(
     not exceed n * (1/4 - delta), and delta <= 0.011.
     """
     delta = exact(delta, "delta")
-    if not Fraction(0) <= delta <= Fraction(11, 1000):
+    if not 0 <= delta <= DELTA_MMS1_MAX:
         raise ContractViolation("approx_mms1 requires 0 <= delta <= 11/1000")
     cls = classification if classification is not None else classify_agents(inst, delta)
     if not _small_n1_1(cls, inst.n, delta):
         raise ContractViolation("approx_mms1 requires the small-n1_1 case split")
-    return _fill_b_bags(inst, Fraction(3, 4) + delta, cls.n1_1, audit)
+    return _fill_b_bags(inst, three_quarters_plus(delta), cls.n1_1, audit)
 
 
 def approx_mms2(
@@ -255,13 +266,13 @@ def approx_mms2(
     Returns the allocation and how often each of R2, R3 and R5 fired.
     """
     delta = exact(delta, "delta")
-    if not Fraction(0) <= delta <= DELTA_DEFAULT:
+    if not 0 <= delta <= DELTA_DEFAULT:
         raise ContractViolation("approx_mms2 requires 0 <= delta <= 3/956")
     cls = classification if classification is not None else classify_agents(inst, delta)
     n, m = inst.n, inst.m
     if _small_n1_1(cls, n, delta):
         raise ContractViolation("approx_mms2 requires the large-n1_1 case split")
-    alpha = Fraction(3, 4) + delta
+    alpha = three_quarters_plus(delta)
     priority = frozenset(cls.n1_2 | cls.n2)
     counts = {"R2": 0, "R3": 0, "R5": 0}
 
@@ -333,6 +344,27 @@ class SolveInfo:
     alpha_inner: Fraction
 
 
+@lru_cache(maxsize=64)
+def _checked_eps(alpha: Fraction, delta: Fraction) -> Fraction:
+    """The reduction slack eps = max(alpha - 3/4, 0) of `solve`, after its
+    parameter checks. It depends on (alpha, delta) alone, so it is derived
+    once per distinct pair; an invalid pair raises on every call, as
+    `lru_cache` keeps no exceptions."""
+    if alpha <= 0:
+        raise DomainError("alpha must be positive")
+    if alpha > ALPHA_MAX:
+        raise DomainError(
+            f"alpha must be at most 3/4 + 3/3836 = {rat_to_text(ALPHA_MAX)}, got {rat_to_text(alpha)}"
+        )
+    eps = max(alpha - Fraction(3, 4), Fraction(0))
+    if eps > 0:
+        if not Fraction(0) < delta <= DELTA_DEFAULT:
+            raise DomainError("delta must be in (0, 3/956]")
+        if 4 * eps / (1 - 4 * eps) > delta:
+            raise DomainError("delta too small for this alpha: need 4*eps/(1-4*eps) <= delta")
+    return eps
+
+
 def solve(
     inst: Instance,
     alpha: Fraction,
@@ -350,19 +382,7 @@ def solve(
     plain bag filling on the residual instance at threshold alpha.
     """
     alpha, delta = exact(alpha, "alpha"), exact(delta, "delta")
-    if alpha <= 0:
-        raise DomainError("alpha must be positive")
-    if alpha > ALPHA_MAX:
-        raise DomainError(
-            f"alpha must be at most 3/4 + 3/3836 = {rat_to_text(ALPHA_MAX)}, got {rat_to_text(alpha)}"
-        )
-    eps = max(alpha - Fraction(3, 4), Fraction(0))
-    if eps > 0:
-        if not Fraction(0) < delta <= DELTA_DEFAULT:
-            raise DomainError("delta must be in (0, 3/956]")
-        if 4 * eps / (1 - 4 * eps) > delta:
-            raise DomainError("delta too small for this alpha: need 4*eps/(1-4*eps) <= delta")
-
+    eps = _checked_eps(alpha, delta)
     oni, omap, trace = to_delta_oni(inst, eps, node_budget=node_budget)
     counts: dict[str, int] = {}
     if eps == 0:
@@ -371,7 +391,7 @@ def solve(
         alpha_inner = alpha
     else:
         cls = classify_agents(oni, delta)
-        alpha_inner = Fraction(3, 4) + delta
+        alpha_inner = three_quarters_plus(delta)
         if _small_n1_1(cls, oni.n, delta):
             inner = approx_mms1(oni, delta, cls, audit=audit)
             branch = "mms1"

@@ -75,6 +75,8 @@ def _cmd_gen(args) -> int:
 
 def _cmd_mms(args) -> int:
     inst = _read_instance(args.input)
+    if inst.n == 0:  # before d defaults to n = 0 or an agent id is range-checked
+        raise DomainError("the instance has no agents")
     d = args.d if args.d is not None else inst.n
     res = mms(inst, args.agent, d, node_budget=args.budget)
     out = {

@@ -18,7 +18,10 @@ that uses it. Transformations permute, slice or rescale the stored integer
 view (`Instance.int_rows`), with `core.int_row` to put new rows in lowest
 terms. `rule_rows` turns it into numerators and bars, and `meets_bar` is the
 one threshold test, shared with bag filling, so the residual instance of
-`reduce` is built once, at the end.
+`reduce` is built once, at the end. `_triggered` runs that test for every
+agent of a rule in one pass of C-level iterators (`itemgetter` over the
+rule's columns, `map` and `compress`), and `apply_rule` runs it only for the
+recipient.
 """
 
 from __future__ import annotations
@@ -26,6 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
+from itertools import compress, repeat
+from operator import ge, itemgetter
 from typing import Collection, Iterable, Sequence
 
 from .core import Allocation, Bundle, Instance, exact, int_row, rat_to_jsonable, scaled_ranking
@@ -118,8 +124,9 @@ def _greedy_lift(omap: OrderMap, m: int, alloc: Allocation) -> Allocation:
     n = len(omap)
     if n != alloc.n_agents:
         raise ContractViolation(f"order map has {n} agents, allocation has {alloc.n_agents}")
+    ids = list(range(1, m + 1))
     for p in omap:
-        if sorted(p) != list(range(1, m + 1)):
+        if sorted(p) != ids:
             raise DomainError("each ordering permutation must be a bijection on [1, m]")
     owner = [0] * (m + 1)
     for a, b in enumerate(alloc.bundles, start=1):
@@ -203,6 +210,15 @@ def rule_good_ids(rule: RuleId, n: int) -> tuple[int, ...]:
     raise DomainError(f"unknown rule {rule!r}")
 
 
+@lru_cache(maxsize=64)
+def three_quarters_plus(x: Fraction) -> Fraction:
+    """3/4 + x, the threshold of the reduction rules (x = eps) and of the
+    allocators (x = delta). Every solve asks for the same few values, so each
+    is built once; callers pass `exact` values, never a float that hashes
+    like one."""
+    return Fraction(3, 4) + x
+
+
 def rule_rows(
     inst: Instance, alpha: Fraction, shares: Sequence[Fraction] | None = None
 ) -> tuple[list[list[int]], list[int], list[int]]:
@@ -214,12 +230,14 @@ def rule_rows(
     1/L, as `mms` of a whole row is."""
     rows, bars, scales = [], [], []
     for k, (ints, den) in enumerate(inst.int_rows):
-        scale = den if shares is None else den * shares[k]
-        if scale.denominator != 1:
-            raise ContractViolation(f"the share of row {k + 1} is not a multiple of 1/{den}")
+        scale = den
+        if shares is not None:
+            scale, rest = divmod(den * shares[k].numerator, shares[k].denominator)
+            if rest:
+                raise ContractViolation(f"the share of row {k + 1} is not a multiple of 1/{den}")
         rows.append(list(ints))
-        bars.append(-(-alpha.numerator * scale.numerator // alpha.denominator))
-        scales.append(scale.numerator)
+        bars.append(-(-alpha.numerator * scale // alpha.denominator))
+        scales.append(scale)
     return rows, bars, scales
 
 
@@ -229,14 +247,26 @@ def meets_bar(row: Sequence[int], bar: int, goods: Iterable[int]) -> bool:
     return sum(row[g - 1] for g in goods) >= bar
 
 
+def _rule_goods(rows: list[list[int]], rule: RuleId) -> tuple[int, ...]:
+    """The rule's goods in integer rows; dummies past the last good drop out."""
+    ids = rule_good_ids(rule, len(rows))  # raises first when there are no rows
+    return tuple(filter(len(rows[0]).__ge__, ids))
+
+
 def _triggered(
     rows: list[list[int]], bars: list[int], rule: RuleId
 ) -> tuple[tuple[int, ...], list[int]]:
-    """The rule's goods in integer rows (dummies past the last good drop out)
-    and, ascending, the agents whose numerators on them reach their bars."""
-    goods = tuple(g for g in rule_good_ids(rule, len(rows)) if g <= len(rows[0]))
-    return goods, [i for i, (row, bar) in enumerate(zip(rows, bars), start=1)
-                   if meets_bar(row, bar, goods)]
+    """The rule's goods in integer rows and, ascending, the agents whose
+    numerators on them reach their bars: `meets_bar` for every agent at once,
+    as sums of the rule's columns compared with the bars."""
+    goods = _rule_goods(rows, rule)
+    if not goods:  # only dummies: every sum is 0
+        sums = repeat(0)
+    elif len(goods) == 1:
+        sums = map(itemgetter(goods[0] - 1), rows)
+    else:
+        sums = map(sum, map(itemgetter(*[g - 1 for g in goods]), rows))
+    return goods, list(compress(range(1, len(rows) + 1), map(ge, sums, bars)))
 
 
 def pick_recipient(eligible: list[int], priority: Collection[int]) -> int:
@@ -282,8 +312,8 @@ def apply_rule(
     """
     if not 1 <= agent <= len(rows):
         raise ContractViolation(f"agent {agent} out of range")
-    goods, eligible = _triggered(rows, bars, rule)
-    if agent not in eligible:
+    goods = _rule_goods(rows, rule)
+    if not meets_bar(rows[agent - 1], bars[agent - 1], goods):
         raise ContractViolation(f"rule {rule.value} is not applicable to agent {agent}")
     del rows[agent - 1], bars[agent - 1]
     for row in rows:
@@ -331,7 +361,7 @@ def reduce(
         shares = [mms(cur, i, cur.n, node_budget=node_budget).value for i in range(1, cur.n + 1)]
     trace.scaling.update(zip(agents, shares))
 
-    threshold = Fraction(3, 4) + eps
+    threshold = three_quarters_plus(eps)
     rows, bars, scales = rule_rows(cur, threshold, shares)
     while (fired := first_rule(rows, bars, REDUCTION_RULES)) is not None:
         rule, agent = fired

@@ -26,6 +26,7 @@ from mmskit import (
 )
 from mmskit import allocators
 from mmskit.allocators import (
+    AgentClassification,
     BagState,
     _fill_b_bags,
     _small_n1_1,
@@ -79,6 +80,67 @@ class TestClassifyAgents:
     def test_requires_ordered(self):
         with pytest.raises(ContractViolation):
             classify_agents(make_instance([[1, 2, 2, 2]] * 2), DELTA)
+
+
+SPLIT_DELTAS = (Fraction(0), Fraction(1, 1000), DELTA, Fraction(11, 1000))
+
+
+def classes_with_n1_1(k: int) -> AgentClassification:
+    return AgentClassification(
+        n1=frozenset(range(1, k + 1)), n2=frozenset(), n1_1=frozenset(range(1, k + 1)),
+        n1_2=frozenset(),
+    )
+
+
+class TestIntegerThresholds:
+    """`solve`'s thresholds compared in integers say exactly what their
+    Fraction definitions say."""
+
+    @pytest.mark.parametrize("delta", SPLIT_DELTAS)
+    def test_case_split_matches_fraction_definition(self, delta):
+        for n in range(1, 81):
+            for k in range(n + 1):
+                expected = k * (Fraction(1, 4) + delta / 3) <= n * (Fraction(1, 4) - delta)
+                assert _small_n1_1(classes_with_n1_1(k), n, delta) is expected, (n, k)
+
+    def test_case_split_equality_point(self):
+        # 59 * (1/4 + 1/956) == 60 * (1/4 - 3/956): 59 * 240 == 60 * 236.
+        assert 59 * (Fraction(1, 4) + DELTA / 3) == 60 * (Fraction(1, 4) - DELTA)
+        assert _small_n1_1(classes_with_n1_1(59), 60, DELTA)
+        assert not _small_n1_1(classes_with_n1_1(60), 60, DELTA)
+
+    @pytest.mark.parametrize("delta", SPLIT_DELTAS)
+    def test_heavy_tail_at_equality(self, delta):
+        # One n1 agent (its pair bag {1, 2} is worth exactly 1) whose good
+        # 2n + 1 = 3 sits one step below, at, or one step above 1/4 - 5 delta.
+        bound = Fraction(1, 4) - 5 * delta
+        step = Fraction(1, 7 * bound.denominator)
+        for tail in (bound - step, bound, bound + step):
+            cls = classify_agents(Instance.from_rows([[HALF, HALF, tail]]), delta)
+            assert cls.n1 == {1}
+            assert (cls.n1_1 == {1}) is (tail >= bound), tail
+
+    def test_invalid_parameters_raise_on_every_call(self):
+        inst = make_instance([[1, 1]])
+        solve(inst, ALPHA34)  # a valid pair first
+        solve(inst, ALPHA_MAX)
+        for _ in range(3):
+            with pytest.raises(DomainError, match="alpha must be positive"):
+                solve(inst, Fraction(0))
+            with pytest.raises(DomainError, match="at most"):
+                solve(inst, Fraction(9, 10))
+            with pytest.raises(DomainError, match="int or a Fraction"):
+                solve(inst, 0.75)  # equal to, and hashing like, 3/4
+            with pytest.raises(DomainError, match="delta must be in"):
+                solve(inst, ALPHA_MAX, delta=Fraction(1, 100))
+            with pytest.raises(DomainError, match="too small"):
+                solve(inst, ALPHA_MAX, delta=Fraction(3, 1000))
+            with pytest.raises(DomainError, match="int or a Fraction"):
+                solve(inst, ALPHA_MAX, delta=float(DELTA))
+            with pytest.raises(ContractViolation, match="11/1000"):
+                approx_mms1(inst, Fraction(12, 1000))
+            with pytest.raises(ContractViolation, match="3/956"):
+                approx_mms2(inst, Fraction(-1, 1000))
 
 
 class TestBagFill:

@@ -80,6 +80,15 @@ class TestMmsCommand:
         assert json.loads(capsys.readouterr().out)["d"] == 2
 
 
+    @pytest.mark.parametrize("d_args", [[], ["-d", 2]])
+    def test_instance_without_agents_is_usage_error(self, tmp_path, capsys, d_args):
+        # Checked before d defaults to n = 0 or agent 1 is range-checked.
+        inst = tmp_path / "empty.json"
+        inst.write_text('{"n":0,"m":2,"values":[]}')
+        assert run(["mms", "-i", inst, "--agent", 1, *d_args]) == 2
+        assert capsys.readouterr().err == "error: the instance has no agents\n"
+
+
 class TestReduceCommand:
     def test_emits_instance_map_and_trace(self, tmp_path, capsys):
         inst = write_instance(tmp_path, [[4, 1, 1, 1, 1], [1, 1, 1, 1, 1]])

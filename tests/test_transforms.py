@@ -25,7 +25,7 @@ from mmskit import (
     to_delta_oni,
     value,
 )
-from mmskit.transforms import first_rule, meets_bar, restrict, rule_good_ids, rule_rows
+from mmskit.transforms import _triggered, first_rule, meets_bar, restrict, rule_good_ids, rule_rows
 
 from conftest import make_instance, random_instance
 
@@ -309,6 +309,41 @@ class TestIntegerTrigger:
         rows, bars, _ = rule_rows(inst, alpha, None if share is None else [share])
         expected = value(inst, 1, bag) >= alpha * (1 if share is None else share)
         assert meets_bar(rows[0], bars[0], bag) is expected
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(_engine_cases())
+    def test_one_pass_matches_per_agent_scan(self, case):
+        # Every rule, dummies past m included (n up to 4 and m down to 0, so
+        # some rules have only dummies), against one `meets_bar` per agent.
+        rows, shares, alpha, _, _ = case
+        ints, bars, _ = rule_rows(Instance.from_rows(rows), alpha, shares)
+        for rule in RuleId:
+            goods = tuple(g for g in rule_good_ids(rule, len(ints)) if g <= len(ints[0]))
+            naive = [i for i in range(1, len(ints) + 1) if meets_bar(ints[i - 1], bars[i - 1], goods)]
+            assert _triggered(ints, bars, rule) == (goods, naive)
+
+    def test_one_pass_edge_rows(self):
+        # m = 0, and rows whose rule goods are partly or wholly dummies: a
+        # dummy counts 0, so only a bar of 0 is met by dummies alone.
+        for rows, bars in (([[], [], []], [0, 1, 0]), ([[3, 2, 1]] * 3, [0, 4, 7])):
+            for rule in RuleId:
+                goods = tuple(g for g in rule_good_ids(rule, 3) if g <= len(rows[0]))
+                naive = [i for i in (1, 2, 3) if meets_bar(rows[i - 1], bars[i - 1], goods)]
+                assert _triggered(rows, bars, rule) == (goods, naive)
+        assert _triggered([[3, 2, 1]] * 3, [0, 4, 7], RuleId.R3) == ((), [1])
+        assert _triggered([[3, 2, 1]] * 3, [0, 4, 7], RuleId.R4) == ((1,), [1])
+        assert _triggered([[3, 2, 1]] * 3, [0, 4, 7], RuleId.R5) == ((1, 2), [1, 2])
+
+    def test_non_triggering_recipient_leaves_rows_untouched(self):
+        # Agent 1 triggers R1 and agent 2 does not: awarding to agent 2 must
+        # raise before anything is dropped.
+        inst = make_instance([[1, "1/2", "1/2"], ["1/2", "1/2", "1/2"]])
+        rows, bars, _ = rule_rows(inst, ALPHA34)
+        before = ([list(row) for row in rows], list(bars))
+        assert _triggered(rows, bars, RuleId.R1)[1] == [1]
+        with pytest.raises(ContractViolation, match="not applicable to agent 2"):
+            apply_rule(rows, bars, RuleId.R1, 2)
+        assert (rows, bars) == before
 
     def test_share_off_the_row_grid_rejected(self):
         inst = make_instance([["1/2", "1/4"]])
