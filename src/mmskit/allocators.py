@@ -144,33 +144,52 @@ def _award_or_grow(
     lowest-index open bag. With neither move possible the loop stops, and the
     caller decides whether that is a failure. Every move must keep the goods
     the state started with partitioned.
+
+    Each open bag keeps the list of waiting agents that value it at the
+    threshold, tested once per bag with `meets_bar`. A move changes only
+    what it touches: an award drops its bag and removes its agent from the
+    other lists; a growth re-tests only the bag that grew, from each waiting
+    agent's running sum over it.
     """
     goods = set().union(*state.groups())
+    order = sorted(waiting)
+    eligible = {
+        k: [i for i in order if meets_bar(rows[i - 1], bars[i - 1], bag)]
+        for k, bag in state.bags.items()
+    }
+    grown, sums = None, {}  # the bag that grows, and its value to each waiting agent
     while waiting and state.bags:
-        award = None
-        for k in sorted(state.bags):
-            bag = state.bags[k]
-            eligible = [i for i in sorted(waiting) if meets_bar(rows[i - 1], bars[i - 1], bag)]
-            if eligible:
-                award = (k, eligible)
-                break
-        if award is not None:
-            k, eligible = award
-            agent = pick_recipient(eligible, priority)
+        k = next((k for k in sorted(state.bags) if eligible[k]), None)
+        if k is not None:
+            won = eligible.pop(k)
+            agent = pick_recipient(won, priority)
             bundle = Bundle.of(state.bags.pop(k))
             state.satisfied[agent] = bundle
             waiting.discard(agent)
+            order.remove(agent)
             if audit is not None:
                 audit.append(
                     {
                         "bag": bundle,
                         "recipient": agent,
-                        "eligible": tuple(eligible),
-                        "eligible_priority": tuple(i for i in eligible if i in priority),
+                        "eligible": tuple(won),
+                        "eligible_priority": tuple(i for i in won if i in priority),
                     }
                 )
+            for others in eligible.values():
+                if agent in others:
+                    others.remove(agent)
         elif state.pool:
-            state.bags[min(state.bags)].append(state.pool.pop(0))
+            k = min(state.bags)
+            bag = state.bags[k]
+            g = state.pool.pop(0)
+            bag.append(g)
+            if grown == k:
+                for i in order:
+                    sums[i] += rows[i - 1][g - 1]
+            else:
+                grown, sums = k, {i: sum(rows[i - 1][h - 1] for h in bag) for i in order}
+            eligible[k] = [i for i in order if sums[i] >= bars[i - 1]]
         else:
             return
         state.check_partition(goods)

@@ -1,15 +1,15 @@
 """Exact maximin-share values by branch and bound, with a brute-force reference.
 
 `mms` certifies the exact optimum of max-over-partitions min-bundle-value
-with a depth-first search over bundle assignments; `mms_exhaustive` checks it
-by enumeration: the leading goods run only over canonical labellings (one
-per partition of them), each adding its loads as a column to an outer-sum
-table of all assignments of the trailing goods (numpy, with int64 loads below
-2^62 and Python integers above). Both are deterministic functions of their
-inputs, and both are exact: they search Python-int weights, the values times
-the lcm of the searched goods' denominators (the integer view's numerators
-divided by their gcd with the row's lcm, as `core.scaled_weights` scales
-them), and scale back.
+with a depth-first search over bundle assignments; `mms_exhaustive` checks
+it by enumeration: the leading goods run only over canonical labellings (one
+per partition of them), in blocks that each add their loads to the loads of
+all assignments of the trailing goods in one numpy pass, with loads in the
+narrowest unsigned dtype that holds the total (Python integers past 2^64).
+Both are deterministic functions of their inputs, and both are exact: they
+search Python-int weights, the values times the lcm of the searched goods'
+denominators (the integer view's numerators divided by their gcd with the
+row's lcm, as `core.scaled_weights` scales them), and scale back.
 
 `mms` runs one search (`_search`) on the weights sorted alone, memoized on
 the key (the weights in decreasing order, d, node budget). It brackets the
@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from heapq import heapreplace
-from itertools import zip_longest
+from itertools import product, zip_longest
 from typing import Callable, Iterator, Sequence
 
 from .core import Bundle, Instance, scaled_ranking, scaled_weights
@@ -44,8 +44,10 @@ from .errors import BoundsError, DomainError, OracleBudgetExceeded
 DEFAULT_NODE_BUDGET = 50_000_000
 EXHAUSTIVE_SUBSET_CAP = 12
 _EXHAUSTIVE_VECTOR_CAP = 50_000_000
-# Outer-sum table columns: 1 << 12 was fastest over d 2-6, m 6-12.
-_NUMPY_CHUNK = 1 << 12
+# The reference's blocks: at most this many canonical prefixes by this many
+# assignments of the trailing goods. 1 << 8 was fastest on the rows of d 2-4,
+# m 8-11.
+_BLOCK = 1 << 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,27 +235,42 @@ def _top_k_bound(nz: Sequence[int], d: int) -> int:
     return bound
 
 
-# Above `_SUBSET_SUM_CAP` the distinct subset sums are listed explicitly for
-# rows of at most this many goods (2^12 sums at most).
-_SNAP_GOODS = 12
+# Above `_SUBSET_SUM_CAP` the subset sums are listed explicitly for rows of
+# at most this many goods, as two lists of the sums of each half (2^12
+# sums each at most).
+_SNAP_GOODS = 24
+
+
+def _listed_sums(ws: Sequence[int]) -> list[int]:
+    """The distinct subset sums of ws, ascending."""
+    seen = {0}
+    for w in ws:
+        seen |= {v + w for v in seen}
+    return sorted(seen)
 
 
 def _snapper(nz: Sequence[int], reach: list[int] | None) -> Callable[[int], int]:
     """x -> the largest subset sum of nz at most x (for x >= 0). Every
     bundle load is a subset sum, so a bound on the optimum snaps to one. Read
-    off `reach[0]` when the table exists, else off the sorted distinct sums
-    for rows of at most `_SNAP_GOODS` goods; longer rows past the table cap
-    keep x."""
+    off `reach[0]` when the table exists. Else, for rows of at most
+    `_SNAP_GOODS` goods, meet in the middle: the largest a + b <= x over the
+    sorted subset sums a of the first half and b of the second. Longer rows
+    past the table cap keep x."""
     if reach is not None:
         sums = reach[0]
         return lambda x: (sums & ((2 << x) - 1)).bit_length() - 1
     if len(nz) > _SNAP_GOODS:
         return lambda x: x
-    seen = {0}
-    for w in nz:
-        seen |= {v + w for v in seen}
-    ordered = sorted(seen)
-    return lambda x: ordered[bisect_right(ordered, x) - 1]
+    half = len(nz) // 2
+    low, high = _listed_sums(nz[:half]), _listed_sums(nz[half:])
+
+    def snap(x: int) -> int:
+        best = 0
+        for a in low[: bisect_right(low, x)]:
+            best = max(best, a + high[bisect_right(high, x - a) - 1])
+        return best
+
+    return snap
 
 
 def _improve(nz: Sequence[int], d: int, choice: list[int], hi: int) -> int:
@@ -408,8 +425,10 @@ def mms_exhaustive(
     and the first maximizing vector is the witness. The leading goods run
     only over canonical labellings (labels first used in the order 0, 1, ...);
     relabelling so never moves a vector later, so the first maximizer is
-    canonical and still reached first. The cap counts all d^|subset| vectors.
-    Shares no search code with `mms`.
+    canonical and still reached first. Blocks of them run in order and a
+    later block wins only with a greater value, and the enumeration stops at
+    the first vector reaching total // d (see `_enumerate`). The cap counts
+    all d^|subset| vectors. Shares no search code with `mms`.
     """
     if d <= 0:
         raise DomainError(f"d must be a positive integer, got {d}")
@@ -442,35 +461,68 @@ def _canonical_prefixes(h: int, d: int) -> Iterator[tuple[int, ...]]:
     return extend((), 0)
 
 
+@lru_cache(maxsize=32)
+def _one_hot(h: int, d: int, canonical: bool) -> tuple[object, tuple[int, ...]]:
+    """Assignments of h goods to d bundles as a read-only one-hot (vector,
+    bundle, good) uint8 array, with each vector's base-d index (its first
+    good most significant): the canonical prefixes in `_canonical_prefixes`
+    order, or else all d^h vectors in base-d order."""
+    import numpy as np  # only the reference needs numpy; solve and verify do not
+
+    vectors = list(_canonical_prefixes(h, d) if canonical else product(range(d), repeat=h))
+    onehot = np.zeros((len(vectors), d, h), dtype=np.uint8)
+    index = []
+    for p, vector in enumerate(vectors):
+        onehot[p, vector, range(h)] = 1
+        k = 0
+        for j in vector:
+            k = k * d + j
+        index.append(k)
+    onehot.setflags(write=False)  # cached: every caller shares it
+    return onehot, tuple(index)
+
+
 def _enumerate(weights: Sequence[int], d: int) -> tuple[int, int]:
     """Best min-bundle load over all d^s assignment vectors, and the base-d index
     of the first vector attaining it.
 
-    The loads of every assignment of the last r goods form a (d, d^r) table,
-    built as outer sums; each canonical prefix of the leading goods adds its
-    loads as a column. int64 holds every load when the total is below 2^62,
-    Python ints (object dtype) beyond that.
+    The loads of every assignment of the last r goods form a (d, d^r) table
+    of at most `_BLOCK` columns, and those of the canonical prefixes of the
+    leading goods a (prefix, d) table, each one contraction of a cached
+    one-hot table (`_one_hot`) with the weights. The prefixes run in blocks
+    of at most `_BLOCK`: each block forms the (prefix, bundle, column) sums,
+    takes the min over bundles and the first argmax, which is the block's
+    first maximiser because prefixes are in base-d order. A later block wins
+    only with a strictly greater value, and the search stops at the first
+    vector that reaches total // d, which no min load exceeds.
+
+    Loads are held in the narrowest unsigned dtype that holds the total,
+    which bounds every load, so uint8 to uint64 are exact; past 2^64 they
+    are Python ints (object dtype). The weights enter numpy in that dtype.
     """
-    import numpy as np  # only this test reference needs numpy; solve and verify do not
+    import numpy as np  # only the reference needs numpy; solve and verify do not
 
     s = len(weights)
-    dtype = np.int64 if sum(weights) < 2**62 else object
+    total = sum(weights)
+    dtype = np.min_scalar_type(total)
+    w = np.array(weights, dtype=dtype)
     r = s
-    while d**r > _NUMPY_CHUNK:
+    while d**r > _BLOCK:
         r -= 1
-    eye = np.eye(d, dtype=dtype)
-    tail = np.zeros((d, 1), dtype=dtype)
-    for w in weights[s - r :]:
-        tail = (tail[:, :, None] + w * eye[:, None, :]).reshape(d, -1)
+    h = s - r
+    tail = (_one_hot(r, d, False)[0].astype(dtype) @ w[h:]).T.copy()  # (bundle, column) loads
+    width = tail.shape[1]
+    onehot, index = _one_hot(h, d, True)
+    heads = onehot.astype(dtype) @ w[:h]  # (prefix, bundle) loads
+    goal = total // d
     best, best_k = -1, 0
-    for head in _canonical_prefixes(s - r, d):
-        loads = [0] * d
-        p = 0
-        for w, j in zip(weights, head):
-            loads[j] += w
-            p = p * d + j
-        mins = (tail + np.array(loads, dtype=dtype)[:, None]).min(axis=0)
-        k = int(np.argmax(mins))
-        if mins[k] > best:
-            best, best_k = int(mins[k]), p * tail.shape[1] + k
+    for start in range(0, len(index), _BLOCK):
+        mins = (heads[start : start + _BLOCK, :, None] + tail).min(axis=1)
+        k = int(mins.argmax())
+        v = int(mins.flat[k])
+        if v > best:
+            p, col = divmod(k, width)
+            best, best_k = v, index[start + p] * width + col
+            if best == goal:
+                break
     return best, best_k

@@ -2,14 +2,18 @@
 
 Seeded single-agent rows at d = 2-6 and every m from d + 2 up to the
 largest subset the reference enumerates (EXHAUSTIVE_SUBSET_CAP goods and at
-most _EXHAUSTIVE_VECTOR_CAP assignment vectors), on grids 20, 100 and 1000:
-longer than the tier-1 cross-checks, so CI runs it as its own step. At
-d = 2 and 3 the improved seed and the snapped top-k bound decide most
-values without a probe; at d = 4-6 the covering search's pruning decides
-more of them. Both values must be equal, and each witness must hold exactly
-d bundles that cover the row's goods once (`core.partitions`), its weakest
-bundle worth the value; `mms` witnesses come from the greedy seed, the local
-search or a probe's cover. Prints one line per d and exits 1 on the first
+most _EXHAUSTIVE_VECTOR_CAP assignment vectors), on grids 20, 100 and 1000,
+plus a few rows per shape on grids 10^6, 2^60 and 2^64 - 1, whose totals
+put the reference's loads in uint32, uint64 and Python integers (the coarse
+grids take uint8 and uint16): longer than the tier-1 cross-checks, so CI
+runs it as its own step. At d = 2 and 3 the improved seed and the snapped
+top-k bound decide most values without a probe; at d = 4-6 the covering
+search's pruning decides more of them. Both values must be equal, and each
+witness must hold exactly d bundles that cover the row's goods once
+(`core.partitions`), its weakest bundle worth the value; `mms` witnesses
+come from the greedy seed, the local search or a probe's cover. Prints one
+line per d, with the seconds spent in `mms` and in `mms_exhaustive` so that
+a slowdown in either shows in the log, and exits 1 on the first
 disagreement.
 
     PYTHONPATH=src python tests/deep_crosscheck.py
@@ -26,22 +30,28 @@ from mmskit.gen import SplitMix64
 from mmskit.oracle import _EXHAUSTIVE_VECTOR_CAP, EXHAUSTIVE_SUBSET_CAP, clear_cache
 
 SEED = 0x5EED0DEE
-ROWS_PER_SHAPE = 300
-GRIDS = (20, 100, 1000)
+# (grid, rows per shape)
+GRIDS = ((20, 300), (100, 300), (1000, 300), (10**6, 5), (2**60, 5), (2**64 - 1, 5))
 
 
 def main() -> int:
     rng = SplitMix64(SEED)
     for d in (2, 3, 4, 5, 6):
         t0 = time.perf_counter()
+        in_mms = in_reference = 0.0
         m_max = max(m for m in range(EXHAUSTIVE_SUBSET_CAP + 1) if d**m <= _EXHAUSTIVE_VECTOR_CAP)
         checked = 0
         for m in range(d + 2, m_max + 1):
-            for grid in GRIDS:
-                for _ in range(ROWS_PER_SHAPE):
+            for grid, rows in GRIDS:
+                for _ in range(rows):
                     inst = Instance.from_rows([[rng.randint(0, grid) for _ in range(m)]])
                     clear_cache()
-                    fast, reference = mms(inst, 1, d), mms_exhaustive(inst, 1, d)
+                    start = time.perf_counter()
+                    fast = mms(inst, 1, d)
+                    middle = time.perf_counter()
+                    reference = mms_exhaustive(inst, 1, d)
+                    in_mms += middle - start
+                    in_reference += time.perf_counter() - middle
                     weakest = [min(value(inst, 1, b) for b in r.witness) for r in (fast, reference)]
                     split = [len(r.witness) == d and partitions(r.witness, range(1, m + 1))
                              for r in (fast, reference)]
@@ -51,7 +61,8 @@ def main() -> int:
                               f"d-bundle partitions {split}")
                         return 1
                     checked += 1
-        print(f"d={d}: m {d + 2}-{m_max}, {checked} rows agree in {time.perf_counter() - t0:.1f}s")
+        print(f"d={d}: m {d + 2}-{m_max}, {checked} rows agree in {time.perf_counter() - t0:.1f}s "
+              f"(mms {in_mms:.1f}s, mms_exhaustive {in_reference:.1f}s)")
     return 0
 
 

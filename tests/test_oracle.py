@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -201,10 +202,29 @@ def first_maximiser(inst, agent, d, ids):
     return Fraction(best, scale), tuple(bundles)
 
 
-class TestExhaustiveBeyondInt64:
-    # Scaled weights summing to 2^62 or more overflow int64 loads, so the
-    # reference must switch to Python integers and still pick the same witness.
+class TestExhaustiveLoadDtypes:
+    # The reference holds its loads in the narrowest unsigned dtype that holds
+    # the row's total, which no load exceeds: uint8 to uint64, then Python
+    # integers past 2^64. At every size it must pick the same value and witness.
     PRIMES = (2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549, 2147483543)
+
+    @pytest.mark.parametrize(
+        "total", [2**8 - 1, 2**8, 2**16 - 1, 2**16, 2**32 - 1, 2**32, 2**64 - 1, 2**64],
+        ids=["2^8-1", "2^8", "2^16-1", "2^16", "2^32-1", "2^32", "2^64-1", "2^64"],
+    )
+    def test_totals_at_each_dtype_boundary(self, total):
+        # At d = 1 the one bundle holds the total itself, so a dtype one size
+        # too narrow at the boundary wraps it; at d = 2 and 3 the bundle
+        # loads pass the next size down.
+        draw = random.Random(total)
+        for d in (1, 2, 3):
+            cuts = sorted(draw.randint(0, total) for _ in range(7))
+            row = [b - a for a, b in zip([0, *cuts], [*cuts, total])]
+            inst = make_instance([row])
+            ids = list(range(1, len(row) + 1))
+            res = mms_exhaustive(inst, 1, d)
+            assert (res.value, res.witness) == first_maximiser(inst, 1, d, ids), (d, row)
+            assert res.value == mms(inst, 1, d).value
 
     def check(self, inst, d, ids):
         subset = Bundle.of(ids)
@@ -213,8 +233,10 @@ class TestExhaustiveBeyondInt64:
         assert res.value == mms(inst, 1, d, subset).value
         assert (res.value, res.witness) == first_maximiser(inst, 1, d, ids)
 
-    def cases(self, rng, rows):
-        big = 0
+    def totals(self, rng, rows):
+        """Check each row, a random part of it and its empty part; return
+        the scaled totals checked."""
+        totals = []
         for k, row in enumerate(rows):
             inst = make_instance([row])
             m = len(row)
@@ -224,26 +246,75 @@ class TestExhaustiveBeyondInt64:
                 d = 1 if k % 4 == 0 else rng.randint(2, 4)
                 self.check(inst, d, sorted(ids))
                 vals = [row[g - 1] for g in ids]
-                scale = lcm(*(v.denominator for v in vals))
-                big += sum(vals) * scale >= 2**62
-        return big
+                totals.append(sum(vals) * lcm(*(v.denominator for v in vals)))
+        return totals
 
     def test_integers_near_two_to_the_61(self, rng):
+        # Totals of 3-7 goods near 2^61 lie in [2^62, 2^64): uint64 loads.
         rows = [[2**61 - rng.below(2**40) for _ in range(rng.randint(3, 7))] for _ in range(12)]
         rows.append([2**61] * 5)  # all ties: the first vector in enumeration order wins
-        assert self.cases(rng, rows) >= 13
+        assert sum(2**62 <= t < 2**64 for t in self.totals(rng, rows)) >= 13
 
     def test_fractions_with_large_lcm(self, rng):
-        # Distinct prime denominators near 2^31: any two goods scale past 2^62.
+        # Distinct prime denominators near 2^31: three or more goods scale
+        # past 2^64, so their loads are Python integers.
         rows = []
         for m in (3, 4, 5, 6, 7, 7):
             primes = rng.shuffle(list(self.PRIMES))[:m]
             rows.append([Fraction(p - rng.below(2**20), p) for p in primes])
-        assert self.cases(rng, rows) >= 6
+        assert sum(t >= 2**64 for t in self.totals(rng, rows)) >= 6
+
+
+def first_reaching(weights, d, goal):
+    """The first assignment vector in product order whose weakest bundle
+    reaches `goal`, or None."""
+    for vec in product(range(d), repeat=len(weights)):
+        loads = [0] * d
+        for w, j in zip(weights, vec):
+            loads[j] += w
+        if min(loads) >= goal:
+            return vec
+    return None
+
+
+class TestExhaustiveBlocks:
+    # With blocks of 4 prefixes by 3 columns, a 7-good row at d = 3 runs
+    # its 122 canonical prefixes of 6 goods in 31 blocks.
+    @staticmethod
+    def block_of(vec, d):
+        r = len(vec)
+        while d**r > oracle._BLOCK:
+            r -= 1
+        h = len(vec) - r
+        return list(_canonical_prefixes(h, d)).index(vec[:h]) // oracle._BLOCK
+
+    @pytest.mark.parametrize("row", [[4, 10, 9, 3, 6, 10, 8], [8, 3, 6, 2, 1, 3, 8]])
+    def test_stops_at_total_over_d_in_a_later_block(self, monkeypatch, row):
+        # An earlier block reaches total // d - 1; the value is total // d,
+        # first reached blocks later.
+        monkeypatch.setattr(oracle, "_BLOCK", 4)
+        goal = sum(row) // 3
+        near, top = first_reaching(row, 3, goal - 1), first_reaching(row, 3, goal)
+        assert self.block_of(near, 3) < self.block_of(top, 3)
+        inst = make_instance([row])
+        res = mms_exhaustive(inst, 1, 3)
+        assert res.value == goal
+        assert (res.value, res.witness) == first_maximiser(inst, 1, 3, range(1, 8))
+
+    @pytest.mark.parametrize("row", [[9, 7, 12, 1, 11, 2, 3], [11, 10, 2, 10, 1, 8, 5]])
+    def test_runs_in_full_below_total_over_d(self, monkeypatch, row):
+        # No vector reaches total // d, so every block runs, and a later
+        # block's equal value must not displace the first maximiser.
+        monkeypatch.setattr(oracle, "_BLOCK", 4)
+        assert first_reaching(row, 3, sum(row) // 3) is None
+        inst = make_instance([row])
+        res = mms_exhaustive(inst, 1, 3)
+        assert res.value < sum(row) // 3
+        assert (res.value, res.witness) == first_maximiser(inst, 1, 3, range(1, 8))
 
 
 class TestExhaustiveWitnessPastTheTable:
-    # Past the goods of the outer-sum table the leading goods run only over
+    # Past the goods of the trailing table the leading goods run only over
     # canonical prefixes. On tie-heavy rows many vectors reach the optimum,
     # so the witness must still be the first of them in product order; with
     # the largest goods leading, it spreads them over several bundles.
@@ -376,15 +447,19 @@ class TestValueSearch:
         assert all(counts.values()), (counts, rows)
 
     def test_snap_is_the_largest_subset_sum_at_most_x(self, rng):
-        for k in range(120):
-            nz = sorted((rng.randint(1, (3, 20, 100)[k % 3]) for _ in range(rng.randint(1, 12))), reverse=True)
-            sums = {sum(c for c, bit in zip(nz, bits) if bit) for bits in product((0, 1), repeat=len(nz))}
+        for k in range(124):
+            # The last four rows hold 13-16 goods.
+            goods = rng.randint(1, 12) if k < 120 else k - 107
+            nz = sorted((rng.randint(1, (3, 20, 100)[k % 3]) for _ in range(goods)), reverse=True)
+            sums = sorted({sum(c for c, bit in zip(nz, bits) if bit) for bits in product((0, 1), repeat=len(nz))})
             table, listed = _snapper(nz, _subset_sums(nz)), _snapper(nz, None)
             for x in range(sum(nz) + 2):
-                expected = max(v for v in sums if v <= x)
+                expected = sums[bisect_right(sums, x) - 1]
                 assert table(x) == listed(x) == expected, (nz, x)
-        # Past the table cap, rows of more than 12 goods keep the bound.
-        assert _snapper([5] * 13, None)(31) == 31
+        # Past the table cap, rows of up to 24 goods snap, and longer rows keep the bound.
+        assert _snapper([5] * 13, None)(31) == 30
+        assert _snapper([5] * 24, None)(31) == 30
+        assert _snapper([5] * 25, None)(31) == 31
 
     def test_probe_count_does_not_grow_with_the_digits(self, monkeypatch):
         probes = []
@@ -406,15 +481,19 @@ class TestValueSearch:
         alloc, _ = solve(inst, ALPHA_MAX)
         assert check_alpha_mms(inst, alloc, ALPHA_MAX).passed
         assert probes == []
-        # Past the table cap, a row of at most 12 goods snaps its bounds to
-        # the listed subset sums, so a row whose seed misses the optimum
-        # probes as often at 3000 digits as at two.
-        row = (72, 55, 48, 42, 34, 17, 16, 4)
+        # Past the table cap, a row of at most 24 goods snaps its bounds to
+        # subset sums listed from its two halves, so a row whose seed misses
+        # the optimum probes as often at 3000 digits as at two.
         c = 10**3000 + 7
-        assert _search(row, 3, DEFAULT_NODE_BUDGET)[0] == 93
-        small = len(probes)
-        assert _search(tuple(w * c for w in row), 3, DEFAULT_NODE_BUDGET)[0] == 93 * c
-        assert small == len(probes) - small == 4
+        for row, d, best, count in [
+            ((72, 55, 48, 42, 34, 17, 16, 4), 3, 93, 4),
+            ((97, 96, 96, 83, 82, 78, 65, 63, 56, 40, 34, 29, 15, 12, 2), 4, 211, 3),
+        ]:
+            probes.clear()
+            assert _search(row, d, DEFAULT_NODE_BUDGET)[0] == best
+            small = len(probes)
+            assert _search(tuple(w * c for w in row), d, DEFAULT_NODE_BUDGET)[0] == best * c
+            assert small == len(probes) - small == count, row
 
 
 def hard_rows_at_d_6():
