@@ -8,11 +8,8 @@ ordered instance. Rules used across the toolkit live here only:
 
 - `int_row`, the one place a row's lcm is computed: values p/q to the view
   (numerators, L) in lowest terms, so equal matrices have equal views.
-- `scaled_weights`, the oracle's integer weights, and `scaled_ranking`,
-  every ordered view and the order of the oracle's witnesses. A subset's
-  weights are the view's numerators divided by g = gcd(L, theirs), over
-  L // g: exactly the values times the lcm of the subset's denominators,
-  since lcm_j(L / gcd(a_j, L)) = L / gcd(L, a_S).
+- `scaled_ranking`, a row's goods by value: every ordered view and the
+  order of the oracle's witnesses.
 - `exact`, the one gate on thresholds (alpha, eps, delta): int or Fraction.
 - `partitions` (the covers-exactly-once check) and `canonical_json` (the
   bytes of every JSON file the toolkit writes).
@@ -131,26 +128,11 @@ def int_row(pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...], int]:
     return (tuple(nums), den) if g == 1 else (tuple(a // g for a in nums), den // g)
 
 
-def scaled_weights(nums: Sequence[int], scale: int) -> tuple[Sequence[int], int]:
-    """Some goods' numerators `nums` over `scale`, one row of the integer
-    view, as (weights, denom): with g = gcd(scale, *nums), denom = scale // g
-    is the lcm of the goods' denominators and weight = numerator // g =
-    value * denom exactly."""
-    g = gcd(scale, *nums)
-    return (nums, scale) if g == 1 else ([a // g for a in nums], scale // g)
-
-
-def scaled_ranking(
-    ints: Sequence[int], scale: int, goods: Iterable[int]
-) -> tuple[list[int], list[int], int]:
-    """`goods` by non-increasing value in one row of the integer view
-    (numerators `ints` over `scale`), as (ids, weights, denom) with the
-    weights and denom of `scaled_weights`; the stable reverse=True sort
-    keeps ties on the lower good id."""
-    ids = sorted(goods)
-    nums, denom = scaled_weights([ints[g - 1] for g in ids], scale)
-    pos = sorted(range(len(ids)), key=nums.__getitem__, reverse=True)
-    return [ids[k] for k in pos], [nums[k] for k in pos], denom
+def scaled_ranking(ints: Sequence[int]) -> list[int]:
+    """The goods (1-based ids) of one row of the integer view, numerators
+    `ints`, by non-increasing value; the stable reverse=True sort keeps ties
+    on the lower good id. It sorts the numerators: all share the row's L."""
+    return [k + 1 for k in sorted(range(len(ints)), key=ints.__getitem__, reverse=True)]
 
 
 def partitions(groups: Iterable[Iterable[int]], ground: Iterable[int]) -> bool:

@@ -6,10 +6,11 @@ it by enumeration: the leading goods run only over canonical labellings (one
 per partition of them), in blocks that each add their loads to the loads of
 all assignments of the trailing goods in one numpy pass, with loads in the
 narrowest unsigned dtype that holds the total (Python integers past 2^64).
-Both are deterministic functions of their inputs, and both are exact: they
-search Python-int weights, the values times the lcm of the searched goods'
-denominators (the integer view's numerators divided by their gcd with the
-row's lcm, as `core.scaled_weights` scales them), and scale back.
+Both take one agent's whole row, are deterministic functions of their
+inputs, and are exact: they search the row's integer view, its numerators
+over L in lowest terms, and divide back by L. A sub-bundle's share is that of
+the one-row instance `transforms.restrict` builds on it, whose row is over
+the lcm of the sub-bundle's own denominators.
 
 `mms` runs one search (`_search`) on the weights sorted alone, memoized on
 the key (the weights in decreasing order, d, node budget). It brackets the
@@ -38,7 +39,7 @@ from heapq import heapreplace
 from itertools import product, zip_longest
 from typing import Callable, Iterator, Sequence
 
-from .core import Bundle, Instance, scaled_ranking, scaled_weights
+from .core import Bundle, Instance, scaled_ranking
 from .errors import BoundsError, DomainError, OracleBudgetExceeded
 
 DEFAULT_NODE_BUDGET = 50_000_000
@@ -74,22 +75,6 @@ def _bundles(goods: Sequence[int], choice: Sequence[int], d: int) -> tuple[Bundl
     for g, j in zip_longest(goods, choice, fillvalue=0):
         groups[j].append(g)
     return tuple(Bundle.of(b) for b in groups)
-
-
-def _row(inst: Instance, agent: int, subset: Bundle | None) -> tuple[Sequence[int], Sequence[int], int]:
-    """The agent's goods in `subset` (all goods when None) in ascending id
-    order, with agent and goods bounds-checked, and their weights and
-    denominator from `core.scaled_weights`: (ids, weights, denom)."""
-    if not 1 <= agent <= inst.n:
-        raise BoundsError(f"agent {agent} out of range [1, {inst.n}]")
-    ints, scale = inst.int_rows[agent - 1]
-    if subset is None:
-        return (range(1, inst.m + 1), *scaled_weights(ints, scale))
-    ids = sorted(set(subset))
-    for g in ids:
-        if not 1 <= g <= inst.m:
-            raise BoundsError(f"good {g} out of range [1, {inst.m}]")
-    return (ids, *scaled_weights([ints[g - 1] for g in ids], scale))
 
 
 def _lpt_choice(weights: Sequence[int], d: int) -> tuple[int, list[int]]:
@@ -382,17 +367,11 @@ def _weakest(nz: Sequence[int], d: int, choice: Sequence[int]) -> int:
 clear_cache = _search.cache_clear
 
 
-def mms(
-    inst: Instance,
-    agent: int,
-    d: int,
-    subset: Bundle | None = None,
-    *,
-    node_budget: int | None = None,
-) -> MmsResult:
-    """Exact d-bundle maximin share of `subset` for one agent, with witness.
+def mms(inst: Instance, agent: int, d: int, *, node_budget: int | None = None) -> MmsResult:
+    """Exact d-bundle maximin share of all of one agent's goods, with witness;
+    a sub-bundle's is `mms(restrict(inst, [agent], goods), 1, d)`.
 
-    The search runs here, under `node_budget`, on the goods' weights sorted
+    The search runs here, under `node_budget`, on the row's numerators sorted
     in decreasing order, and raises OracleBudgetExceeded rather than ever
     returning an uncertified result. The witness is the partition that
     certified the value (see `_search`). Only reading it ranks the goods, in
@@ -404,22 +383,16 @@ def mms(
     budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
     if budget < 0:
         raise DomainError(f"node budget must be nonnegative, got {budget}")
-    ids, weights, denom = _row(inst, agent, subset)
-    key = (tuple(sorted(weights, reverse=True)), d, budget)
-    best, choice = _search(*key)
+    if not 1 <= agent <= inst.n:
+        raise BoundsError(f"agent {agent} out of range [1, {inst.n}]")
     ints, scale = inst.int_rows[agent - 1]
-    return MmsResult(Fraction(best, denom), lambda: _bundles(scaled_ranking(ints, scale, ids)[0], choice, d))
+    best, choice = _search(tuple(sorted(ints, reverse=True)), d, budget)
+    return MmsResult(Fraction(best, scale), lambda: _bundles(scaled_ranking(ints), choice, d))
 
 
-def mms_exhaustive(
-    inst: Instance,
-    agent: int,
-    d: int,
-    subset: Bundle | None = None,
-    *,
-    cap: int = EXHAUSTIVE_SUBSET_CAP,
-) -> MmsResult:
-    """Reference oracle: enumerates every partition of `subset` into d bundles.
+def mms_exhaustive(inst: Instance, agent: int, d: int) -> MmsResult:
+    """Reference oracle: enumerates every partition of one agent's goods into
+    d bundles, at most `EXHAUSTIVE_SUBSET_CAP` goods.
 
     Assignment vectors are ordered base-d, lowest good id most significant,
     and the first maximizing vector is the witness. The leading goods run
@@ -427,24 +400,26 @@ def mms_exhaustive(
     relabelling so never moves a vector later, so the first maximizer is
     canonical and still reached first. Blocks of them run in order and a
     later block wins only with a greater value, and the enumeration stops at
-    the first vector reaching total // d (see `_enumerate`). The cap counts
-    all d^|subset| vectors. Shares no search code with `mms`.
+    the first vector reaching total // d (see `_enumerate`). A second cap
+    counts all d^m vectors. Shares no search code with `mms`.
     """
     if d <= 0:
         raise DomainError(f"d must be a positive integer, got {d}")
-    ids, weights, denom = _row(inst, agent, subset)
-    s = len(ids)
-    if s > cap:
-        raise DomainError(f"subset size {s} exceeds the exhaustive enumeration cap {cap}")
+    if not 1 <= agent <= inst.n:
+        raise BoundsError(f"agent {agent} out of range [1, {inst.n}]")
+    ints, scale = inst.int_rows[agent - 1]
+    s = len(ints)
+    if s > EXHAUSTIVE_SUBSET_CAP:
+        raise DomainError(f"{s} goods exceed the exhaustive enumeration cap {EXHAUSTIVE_SUBSET_CAP}")
     total_vecs = d**s
     if total_vecs > _EXHAUSTIVE_VECTOR_CAP:
         raise DomainError(f"enumeration of {total_vecs} assignment vectors exceeds the cap")
-    best, k = _enumerate(weights, d)
+    best, k = _enumerate(ints, d)
 
     choice = [0] * s
     for t in range(s - 1, -1, -1):
         k, choice[t] = divmod(k, d)
-    return MmsResult(Fraction(best, denom), lambda: _bundles(ids, choice, d))
+    return MmsResult(Fraction(best, scale), lambda: _bundles(range(1, s + 1), choice, d))
 
 
 def _canonical_prefixes(h: int, d: int) -> Iterator[tuple[int, ...]]:

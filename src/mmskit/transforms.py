@@ -35,7 +35,7 @@ from operator import ge, itemgetter
 from typing import Collection, Iterable, Sequence
 
 from .core import Allocation, Bundle, Instance, exact, int_row, rat_to_jsonable, scaled_ranking
-from .errors import ContractViolation, DomainError
+from .errors import BoundsError, ContractViolation, DomainError
 from .oracle import mms
 
 
@@ -102,14 +102,14 @@ class ReductionTrace:
 
 def order(inst: Instance) -> tuple[Instance, OrderMap]:
     """Sort each agent's row by `scaled_ranking`; the map records which source
-    good landed in each slot. A row in lowest terms ranks its own numerators,
-    so the permuted row is in lowest terms too."""
+    good landed in each slot. A permuted row keeps its L and stays in lowest
+    terms."""
     perms = []
     rows = []
     for ints, scale in inst.int_rows:
-        idx, weights, den = scaled_ranking(ints, scale, range(1, inst.m + 1))
-        perms.append(tuple(idx))
-        rows.append((tuple(weights), den))
+        ids = scaled_ranking(ints)
+        perms.append(tuple(ids))
+        rows.append((tuple([ints[g - 1] for g in ids]), scale))
     return Instance(n=inst.n, m=inst.m, int_rows=tuple(rows)), tuple(perms)
 
 
@@ -294,8 +294,22 @@ def first_rule(
 
 
 def restrict(inst: Instance, agents: Iterable[int], goods: Iterable[int]) -> Instance:
-    """Sub-instance on the listed agent and good indices, in the listed order."""
+    """Sub-instance on the listed agent and good indices, in the listed order,
+    each row over the lcm of its listed goods' denominators (`int_row`): so
+    `mms(restrict(inst, [a], goods), 1, d)` is agent a's share of the goods.
+    An index out of range is a BoundsError and a good listed twice a
+    DomainError."""
     agents, goods = list(agents), list(goods)
+    for a in agents:
+        if not 1 <= a <= inst.n:
+            raise BoundsError(f"agent {a} out of range [1, {inst.n}]")
+    seen = set()
+    for g in goods:
+        if not 1 <= g <= inst.m:
+            raise BoundsError(f"good {g} out of range [1, {inst.m}]")
+        if g in seen:
+            raise DomainError(f"good {g} is listed twice")
+        seen.add(g)
     view = [inst.int_rows[a - 1] for a in agents]
     rows = tuple(int_row((nums[g - 1], den) for g in goods) for nums, den in view)
     return Instance(n=len(agents), m=len(goods), int_rows=rows)

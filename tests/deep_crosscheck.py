@@ -1,7 +1,7 @@
 """Deep cross-check of `mms` against the `mms_exhaustive` reference.
 
 Seeded single-agent rows at d = 2-6 and every m from d + 2 up to the
-largest subset the reference enumerates (EXHAUSTIVE_SUBSET_CAP goods and at
+most goods the reference enumerates (EXHAUSTIVE_SUBSET_CAP goods and at
 most _EXHAUSTIVE_VECTOR_CAP assignment vectors), on grids 20, 100 and 1000,
 plus a few rows per shape on grids 10^6, 2^60 and 2^64 - 1, whose totals
 put the reference's loads in uint32, uint64 and Python integers (the coarse

@@ -36,6 +36,7 @@ from mmskit import (
 )
 from mmskit.gen import GenSpec, SplitMix64, default_corpus, generate
 from mmskit.oracle import clear_cache
+from mmskit.transforms import restrict
 
 from conftest import make_instance
 
@@ -228,7 +229,7 @@ def test_criterion_6_structural_lemmas(corpus_run):
             [value(inst, agent, Bundle.of([g])) - base / 2 for g in removed] + [Fraction(0)]
         )
         rest = Bundle.of(g for g in range(1, m + 1) if g not in removed)
-        assert mms(inst, agent, n - k, rest).value >= base - 2 * x
+        assert mms(restrict(inst, [agent], rest), 1, n - k).value >= base - 2 * x
         pair_checks += 1
     announce(6, f"structural suite: {structural} pipeline outputs pass the pair-bound, "
                 f"tail and value-cap checks; {pair_checks} pair-removal floors hold")

@@ -1,16 +1,19 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mmskit
-from mmskit import GuaranteeViolation, allocation_from_json
+from mmskit import DomainError, GuaranteeViolation, allocation_from_json, instance_from_json
 from mmskit.cli import main
 from mmskit.gen import default_corpus, write_corpus
 
@@ -258,6 +261,67 @@ class TestErrorPaths:
                      ["reduce", "--epsilon", "1/0", "-i", inst]):
             assert run(args) == 2
             assert "zero denominator" in capsys.readouterr().err
+
+
+_FIELDS = st.one_of(st.integers(-1, 4), st.booleans(), st.none(), st.floats(-2, 4, allow_nan=False),
+                    st.text(max_size=2), st.lists(st.integers(0, 3), max_size=2))
+_GOOD_VALUES = st.one_of(st.integers(0, 9), st.builds("{}/{}".format, st.integers(0, 9), st.integers(1, 9)))
+_BAD_VALUES = st.one_of(
+    _FIELDS,
+    st.builds("{}/0".format, st.integers(0, 9)),
+    st.sampled_from(["-1/2", "1/-2", "1.5", "1/2/3", "", "x", "3/4+1/4", "1e3", "\u0663", "1/\u0664",
+                     "\uff11\uff12", "\u00b2", " 3 "]),
+    st.lists(st.lists(st.integers(0, 3), max_size=2), max_size=2),
+    st.dictionaries(st.sampled_from(["n", "p"]), st.integers(0, 3), max_size=1),
+)
+
+
+@st.composite
+def _instance_files(draw):
+    """Instance file text with at most one fault: wrong shapes or field
+    types, bools, floats, negative values, "p/q" text with zero denominators
+    or non-ASCII digits, nested lists, a missing key, no object, no JSON."""
+    n, m = draw(st.integers(0, 3)), draw(st.integers(0, 4))
+    fault = draw(st.sampled_from(["none", "value", "n", "m", "rows", "key", "top", "text"]))
+    values = st.one_of(_GOOD_VALUES, _BAD_VALUES) if fault == "value" else _GOOD_VALUES
+    obj = {"n": n, "m": m, "values": draw(st.lists(st.lists(values, min_size=m, max_size=m),
+                                                    min_size=n, max_size=n))}
+    if fault in ("n", "m"):
+        obj[fault] = draw(_FIELDS)
+    elif fault == "rows":
+        ragged = st.lists(st.lists(values, max_size=m + 1), max_size=n + 1)
+        obj["values"] = draw(st.one_of(_BAD_VALUES, ragged))
+    elif fault == "key":
+        del obj[draw(st.sampled_from(sorted(obj)))]
+    elif fault == "top":
+        obj = draw(_BAD_VALUES)
+    return draw(st.sampled_from(["", "{", "[1,", "nan"])) if fault == "text" else json.dumps(obj)
+
+
+class TestMalformedInput:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(_instance_files())
+    def test_exit_codes(self, tmp_path_factory, text):
+        # Every command ends with a code in 0-3 and never raises; a file the
+        # instance parser rejects is exit 2 with one `error:` line.
+        base = tmp_path_factory.getbasetemp()
+        inst, alloc, out = base / "fuzz.json", base / "fuzz-alloc.json", base / "fuzz-out.json"
+        inst.write_text(text, encoding="utf-8")
+        try:
+            parsed = instance_from_json(text)
+        except DomainError:
+            parsed = None
+        n, m = (0, 0) if parsed is None else (parsed.n, parsed.m)
+        alloc.write_text(json.dumps({"bundles": [[]] * n, "unassigned": list(range(1, m + 1))}))
+        for args in (["mms", "-i", inst], ["solve", "--alpha", "3/4", "-i", inst], ["reduce", "-i", inst],
+                     ["verify", "-i", inst, "-a", alloc, "--alpha", "3/4"]):
+            err = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                code = run([*args, "-o", out])
+            assert 0 <= code <= 3, (args, text)
+            if parsed is None:
+                assert code == 2 and err.getvalue().startswith("error: "), (args, text)
+                assert err.getvalue().count("\n") == 1, (args, text)
 
 
 class TestBench:

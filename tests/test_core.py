@@ -27,6 +27,7 @@ from mmskit import (
     value,
 )
 from mmskit.core import _jsonable_to_pair, int_row, partitions, scaled_ranking
+from mmskit.transforms import restrict
 from conftest import HALF, make_instance, random_instance
 
 
@@ -357,14 +358,15 @@ class TestScaledRanking:
     @given(_row_and_goods())
     def test_matches_fraction_sort_and_exact_scaling(self, case):
         row, goods = case
-        (ints, scale), = Instance.from_rows([row]).int_rows
+        inst = Instance.from_rows([row])
+        (ints, scale), = inst.int_rows
         assert scale == lcm(*(v.denominator for v in row))
-        ids, weights, denom = scaled_ranking(ints, scale, goods)
-        assert ids == sorted(sorted(goods), key=lambda g: row[g - 1], reverse=True)
-        # The subset's own lcm, not the row's: the oracle's memo keys read it.
+        assert scaled_ranking(ints) == sorted(range(1, len(row) + 1), key=lambda g: row[g - 1], reverse=True)
+        # A sub-bundle's row is over its own lcm, not the row's: the oracle's
+        # memo keys read it.
+        (nums, denom), = restrict(inst, [1], goods).int_rows
         assert denom == lcm(*(row[g - 1].denominator for g in goods))
-        assert weights == [int(row[g - 1] * denom) for g in ids]
-        assert all(Fraction(w, denom) == row[g - 1] for g, w in zip(ids, weights))
+        assert [Fraction(a, denom) for a in nums] == [row[g - 1] for g in goods]
 
 
 @st.composite

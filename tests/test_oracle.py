@@ -41,6 +41,7 @@ from mmskit.oracle import (
     _top_k_bound,
     clear_cache,
 )
+from mmskit.transforms import restrict
 
 from conftest import make_instance, random_instance
 
@@ -49,11 +50,10 @@ def witness_values(inst, agent, result):
     return [value(inst, agent, b) for b in result.witness]
 
 
-def assert_valid_witness(inst, agent, d, subset, result):
-    ground = Bundle.of(subset) if subset is not None else inst.all_goods()
+def assert_valid_witness(inst, agent, d, result):
     assert len(result.witness) == d
     seen = [g for b in result.witness for g in b]
-    assert sorted(seen) == sorted(ground.goods)
+    assert sorted(seen) == list(inst.all_goods())
     assert min(witness_values(inst, agent, result)) == result.value
 
 
@@ -62,7 +62,7 @@ class TestMmsExamples:
         inst = make_instance([[1, 1, 1, 1]])
         res = mms(inst, 1, 2)
         assert res.value == 2
-        assert_valid_witness(inst, 1, 2, None, res)
+        assert_valid_witness(inst, 1, 2, res)
 
     def test_three_goods_two_bundles(self):
         # exhaustive enumeration over all 2^3 assignments confirms max-min = 3
@@ -88,18 +88,22 @@ class TestMmsExamples:
         with pytest.raises(DomainError):
             mms_exhaustive(inst, 1, 0)
 
+    # The oracle takes whole rows, so only the agent can be out of range; a
+    # good id past m is `restrict`'s to reject (test_transforms.TestRestrict).
     @pytest.mark.parametrize("oracle", [mms, mms_exhaustive])
-    @pytest.mark.parametrize("agent, subset", [(0, None), (2, None), (1, Bundle.of([1, 4]))],
-                             ids=["agent-0", "agent-past-n", "good-past-m"])
-    def test_agent_or_good_out_of_range(self, oracle, agent, subset):
+    @pytest.mark.parametrize("agent", [0, 2], ids=["agent-0", "agent-past-n"])
+    def test_agent_or_good_out_of_range(self, oracle, agent):
         with pytest.raises(BoundsError, match="out of range"):
-            oracle(make_instance([[3, 2, 1]]), agent, 2, subset)
+            oracle(make_instance([[3, 2, 1]]), agent, 2)
 
     def test_subset_restriction(self):
-        inst = make_instance([[5, 4, 3, 2, 1]])
-        res = mms(inst, 1, 2, Bundle.of([2, 3, 4]))
+        # A sub-bundle's share is the share of the instance `restrict` builds
+        # on it; its goods 1-3 stand for goods 2-4 of the row.
+        sub = restrict(make_instance([[5, 4, 3, 2, 1]]), [1], [2, 3, 4])
+        res = mms(sub, 1, 2)
         assert res.value == 4  # {4} vs {3,2}
-        assert_valid_witness(inst, 1, 2, [2, 3, 4], res)
+        assert res.witness == (Bundle.of([1]), Bundle.of([2, 3]))
+        assert_valid_witness(sub, 1, 2, res)
 
 
 class TestExhaustiveExamples:
@@ -112,7 +116,7 @@ class TestExhaustiveExamples:
             inst = make_instance(rows)
             res = mms_exhaustive(inst, 1, d)
             assert res.value == expected
-            assert_valid_witness(inst, 1, d, None, res)
+            assert_valid_witness(inst, 1, d, res)
 
     def test_five_goods_three_bundles(self):
         # Enumeration over 3^5 assignments: a perfect split {1},{2,5},{3,4}
@@ -120,7 +124,7 @@ class TestExhaustiveExamples:
         inst = make_instance([[5, 4, 3, 2, 1]])
         res = mms_exhaustive(inst, 1, 3)
         assert res.value == 5
-        assert_valid_witness(inst, 1, 3, None, res)
+        assert_valid_witness(inst, 1, 3, res)
         assert mms(inst, 1, 3).value == 5
 
     def test_d_one_returns_total(self):
@@ -133,7 +137,6 @@ class TestExhaustiveExamples:
         inst = make_instance([[1] * 13])
         with pytest.raises(DomainError):
             mms_exhaustive(inst, 1, 2)
-        assert mms_exhaustive(inst, 1, 2, cap=13).value == 6
 
     def test_deterministic_witness(self):
         inst = make_instance([[5, 4, 3, 2, 1]])
@@ -156,7 +159,7 @@ class TestOracleEquivalence:
             a = mms(inst, agent, d)
             b = mms_exhaustive(inst, agent, d)
             assert a.value == b.value
-            assert_valid_witness(inst, agent, d, None, a)
+            assert_valid_witness(inst, agent, d, a)
 
     def test_rational_values(self, rng):
         for _ in range(60):
@@ -175,13 +178,13 @@ class TestOracleEquivalence:
             k = rng.randint(1, min(m, 10))
             goods = list(range(1, m + 1))
             rng.shuffle(goods)
-            subset = Bundle.of(goods[:k])
+            sub = restrict(inst, [1], sorted(goods[:k]))
             d = rng.randint(1, 4)
             clear_cache()
-            a = mms(inst, 1, d, subset)
-            b = mms_exhaustive(inst, 1, d, subset)
+            a = mms(sub, 1, d)
+            b = mms_exhaustive(sub, 1, d)
             assert a.value == b.value
-            assert_valid_witness(inst, 1, d, subset.goods, a)
+            assert_valid_witness(sub, 1, d, a)
 
 
 def first_maximiser(inst, agent, d, ids):
@@ -227,11 +230,15 @@ class TestExhaustiveLoadDtypes:
             assert res.value == mms(inst, 1, d).value
 
     def check(self, inst, d, ids):
-        subset = Bundle.of(ids)
+        # `restrict` keeps the listed (ascending) order, so the sub-instance's
+        # good t is ids[t - 1] and the enumeration order is the same.
+        sub = restrict(inst, [1], ids)
         clear_cache()
-        res = mms_exhaustive(inst, 1, d, subset)
-        assert res.value == mms(inst, 1, d, subset).value
-        assert (res.value, res.witness) == first_maximiser(inst, 1, d, ids)
+        res = mms_exhaustive(sub, 1, d)
+        assert res.value == mms(sub, 1, d).value
+        value, witness = first_maximiser(inst, 1, d, ids)
+        assert res.value == value
+        assert tuple(Bundle.of(ids[g - 1] for g in b) for b in res.witness) == witness
 
     def totals(self, rng, rows):
         """Check each row, a random part of it and its empty part; return
@@ -367,7 +374,7 @@ class TestPruningCrossCheck:
                 clear_cache()
                 res = mms(inst, 1, d)
                 assert res.value == mms_exhaustive(inst, 1, d).value, (d, row)
-                assert_valid_witness(inst, 1, d, None, res)
+                assert_valid_witness(inst, 1, d, res)
                 below += res.value < sum(row) // d
                 cases += 1
         assert 2 * below >= cases, f"only {below} of {cases} optima sit below total // d"
@@ -411,7 +418,7 @@ class TestWasteBound:
         assert _subset_sums([c * v for v in row]) is None
         res = mms(big, 1, 3)
         assert res.value == c * mms(make_instance([row]), 1, 3).value
-        assert_valid_witness(big, 1, 3, None, res)
+        assert_valid_witness(big, 1, 3, res)
 
 
 class TestValueSearch:
@@ -595,7 +602,7 @@ def test_witness_read_is_free_and_valid_on_rows_that_probe(monkeypatch, rng):
         spent = [b.nodes for b in budgets]
         assert [list(b.goods) for b in res.witness] == expected, (d, row)
         assert [b.nodes for b in budgets] == spent, (d, row)
-        assert_valid_witness(inst, 1, d, None, res)
+        assert_valid_witness(inst, 1, d, res)
     assert all(sources.values()), sources
 
 
@@ -653,7 +660,7 @@ class TestOracleProperties:
             if value(inst, agent, s) > base:
                 continue
             rest = Bundle.of(g for g in range(1, inst.m + 1) if g not in s)
-            assert mms(inst, agent, inst.n - 1, rest).value >= base
+            assert mms(restrict(inst, [agent], rest), 1, inst.n - 1).value >= base
             checked += 1
         assert checked > 10
 
@@ -672,12 +679,12 @@ class TestOracleProperties:
             g2 = rng.randint(max(2 * n, g1 + 1), m - 1)
             g3 = rng.randint(max(2 * n + 1, g2 + 1), m)
             rest = Bundle.of(g for g in range(1, m + 1) if g not in {g1, g2, g3})
-            assert mms(inst, 1, n - 1, rest).value >= base
+            assert mms(restrict(inst, [1], rest), 1, n - 1).value >= base
             checked += 1
             if m >= 3 * n + 1:
                 quad = (3 * n - 2, 3 * n - 1, 3 * n, 3 * n + 1)
                 rest4 = Bundle.of(g for g in range(1, m + 1) if g not in quad)
-                assert mms(inst, 1, n - 1, rest4).value >= base
+                assert mms(restrict(inst, [1], rest4), 1, n - 1).value >= base
         assert checked > 20
 
     def test_half_bounded_pairs_removal(self, rng):
@@ -701,7 +708,7 @@ class TestOracleProperties:
                 [value(inst, agent, Bundle.of([g])) - base / 2 for g in s] + [Fraction(0)]
             )
             rest = Bundle.of(g for g in range(1, m + 1) if g not in s)
-            assert mms(inst, agent, n - k, rest).value >= base - 2 * x
+            assert mms(restrict(inst, [agent], rest), 1, n - k).value >= base - 2 * x
             checked += 1
         assert checked > 15
 
@@ -760,16 +767,6 @@ class TestBudget:
         with pytest.raises(OracleBudgetExceeded) as exc:
             mms(inst, 1, 3, node_budget=1)
         assert (exc.value.nodes, exc.value.budget) == (2, 1)
-
-    def test_memo_key_uses_the_subset_lcm(self):
-        # The row's lcm is 12, but the searched subset {1, 3} (values 1/2 and
-        # 1/4) has lcm 4: the search must get (2, 1), not the row-scaled (6, 3).
-        inst = make_instance([["1/2", "1/3", "1/4"]])
-        clear_cache()
-        assert mms(inst, 1, 2, Bundle.of([1, 3])).value == Fraction(1, 4)
-        assert _search.cache_info().misses == 1
-        _search((2, 1), 2, DEFAULT_NODE_BUDGET)
-        assert _search.cache_info().hits == 1
 
     def test_same_value_multiset_is_searched_once(self):
         inst = make_instance([[5, 3, 8, 1, 4], [8, 1, 3, 5, 4], [4, 1, 5, 8, 3]])

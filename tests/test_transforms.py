@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from mmskit import (
     Allocation,
+    BoundsError,
     Bundle,
     ContractViolation,
     DomainError,
@@ -383,6 +384,31 @@ class TestApplyRule:
         with pytest.raises(ContractViolation, match="out of range"):
             apply_rule(rows, bars, RuleId.R5, 2)
         assert (rows, bars) == rule_rows(inst, ALPHA34)[:2]
+
+
+class TestRestrict:
+    INST = make_instance([[5, 4, 3], [1, 2, 3]])
+
+    def test_listed_order_and_rows_in_lowest_terms(self):
+        sub = restrict(make_instance([["1/2", "1/3", "1/4"], [6, 2, 4]]), [2, 1], [3, 1])
+        assert sub.int_rows == (((4, 6), 1), ((1, 2), 4))
+
+    # Without the checks, good 0 read good 3 (index -1), agent 0 read agent
+    # 2's row, and an id past n or m was a bare IndexError.
+    @pytest.mark.parametrize("agents, goods, message", [
+        ([1], [0], "good 0 out of range"),
+        ([0], [1], "agent 0 out of range"),
+        ([3], [1], "agent 3 out of range"),
+        ([1], [1, 4], "good 4 out of range"),
+    ], ids=["good-0", "agent-0", "agent-past-n", "good-past-m"])
+    def test_id_out_of_range(self, agents, goods, message):
+        with pytest.raises(BoundsError, match=message):
+            restrict(self.INST, agents, goods)
+
+    def test_repeated_good_is_a_domain_error(self):
+        # Without the check, good 2 counted twice in the sub-instance.
+        with pytest.raises(DomainError, match="good 2 is listed twice"):
+            restrict(self.INST, [1], [2, 2])
 
 
 class TestReduce:

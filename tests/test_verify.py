@@ -4,12 +4,15 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mmskit import (
+    ALPHA_MAX,
     Allocation,
     Bundle,
     ContractViolation,
     DomainError,
+    Instance,
     check_alpha_mms,
     check_oni,
     check_reduction_validity,
@@ -24,6 +27,23 @@ from conftest import make_instance
 
 DELTA = Fraction(3, 956)
 HALF = Fraction(1, 2)
+
+
+# "p/q" text as in a residual instance fed back as input; the default corpus
+# is integer-valued.
+_PQ_ROWS = st.integers(1, 4).flatmap(lambda n: st.integers(0, 10).flatmap(lambda m: st.lists(
+    st.lists(st.builds("{}/{}".format, st.integers(0, 30), st.integers(1, 12)), min_size=m, max_size=m),
+    min_size=n, max_size=n)))
+
+
+class TestSolveThenVerify:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_PQ_ROWS)
+    def test_passes_on_fractional_instances(self, rows):
+        inst = Instance.from_rows(rows)
+        for alpha in (ALPHA_MAX, Fraction(3, 4)):
+            alloc, _ = solve(inst, alpha)
+            assert check_alpha_mms(inst, alloc, alpha).passed, (alpha, rows)
 
 
 class TestCheckAlphaMms:
