@@ -88,13 +88,17 @@ class TestMmsExamples:
         with pytest.raises(DomainError):
             mms_exhaustive(inst, 1, 0)
 
-    # The oracle takes whole rows, so only the agent can be out of range; a
-    # good id past m is `restrict`'s to reject (test_transforms.TestRestrict).
+    # The oracle takes whole rows, so a good id reaches it only through
+    # `restrict`, which rejects a good past m before the search starts.
     @pytest.mark.parametrize("oracle", [mms, mms_exhaustive])
-    @pytest.mark.parametrize("agent", [0, 2], ids=["agent-0", "agent-past-n"])
-    def test_agent_or_good_out_of_range(self, oracle, agent):
+    @pytest.mark.parametrize("agent, goods", [(0, None), (2, None), (1, [1, 4])],
+                             ids=["agent-0", "agent-past-n", "good-past-m"])
+    def test_agent_or_good_out_of_range(self, oracle, agent, goods):
+        inst = make_instance([[3, 2, 1]])
         with pytest.raises(BoundsError, match="out of range"):
-            oracle(make_instance([[3, 2, 1]]), agent, 2)
+            if goods is not None:
+                inst, agent = restrict(inst, [agent], goods), 1
+            oracle(inst, agent, 2)
 
     def test_subset_restriction(self):
         # A sub-bundle's share is the share of the instance `restrict` builds
