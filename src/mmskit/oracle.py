@@ -27,6 +27,8 @@ built once per search and only when it is needed (and not above
 `_SUBSET_SUM_CAP`); the bound cuts only subtrees that hold no cover, so
 values and witnesses are those of the search without it. A memoized share
 never depends on an earlier call's budget; `clear_cache` empties the memo.
+`bracket` bounds a share from both sides with no search (the snake deal
+below, the top-k bound above), for callers that only compare it with a bar.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from heapq import heapreplace
 from itertools import product, zip_longest
+from operator import add
 from typing import Callable, Iterator, Sequence
 
 from .core import Bundle, Instance, scaled_ranking
@@ -220,6 +223,21 @@ def _top_k_bound(nz: Sequence[int], d: int) -> int:
     return bound
 
 
+def bracket(weights: Sequence[int], d: int) -> tuple[int, int]:
+    """Bounds lo <= max-min <= hi over partitions of `weights` (descending
+    ints) into d parts, with no search. lo is the weakest load of the snake
+    deal, whose bundle j takes goods j, 2d-1-j, 2d+j, 4d-1-j, ...; hi is the
+    top-k bound. Both are 0 when fewer than d weights are positive, and both
+    the total when d is 1."""
+    if len(weights) < d or weights[d - 1] == 0:
+        return 0, 0
+    step = 2 * d
+    # The sum of each residue class mod 2d; bundle j's load is that of class
+    # j plus that of class 2d-1-j.
+    sums = [sum(weights[j::step]) for j in range(step)]
+    return min(map(add, sums[:d], reversed(sums[d:]))), _top_k_bound(weights, d)
+
+
 # Above `_SUBSET_SUM_CAP` the subset sums are listed explicitly for rows of
 # at most this many goods, as two lists of the sums of each half (2^12
 # sums each at most).
@@ -367,6 +385,15 @@ def _weakest(nz: Sequence[int], d: int, choice: Sequence[int]) -> int:
 clear_cache = _search.cache_clear
 
 
+def checked_budget(node_budget: int | None) -> int:
+    """The node budget of a search: `DEFAULT_NODE_BUDGET` for None; a
+    negative budget is a DomainError."""
+    budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
+    if budget < 0:
+        raise DomainError(f"node budget must be nonnegative, got {budget}")
+    return budget
+
+
 def mms(inst: Instance, agent: int, d: int, *, node_budget: int | None = None) -> MmsResult:
     """Exact d-bundle maximin share of all of one agent's goods, with witness;
     a sub-bundle's is `mms(restrict(inst, [agent], goods), 1, d)`.
@@ -380,9 +407,7 @@ def mms(inst: Instance, agent: int, d: int, *, node_budget: int | None = None) -
     """
     if d <= 0:
         raise DomainError(f"d must be a positive integer, got {d}")
-    budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
-    if budget < 0:
-        raise DomainError(f"node budget must be nonnegative, got {budget}")
+    budget = checked_budget(node_budget)
     if not 1 <= agent <= inst.n:
         raise BoundsError(f"agent {agent} out of range [1, {inst.n}]")
     ints, scale = inst.int_rows[agent - 1]

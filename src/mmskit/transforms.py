@@ -22,6 +22,13 @@ one threshold test, shared with bag filling, so the residual instance of
 agent of a rule in one pass of C-level iterators (`itemgetter` over the
 rule's columns, `map` and `compress`), and `apply_rule` runs it only for the
 recipient.
+
+A rule decision needs only the side of the bar a share lies on, so `reduce`
+scales by exact shares only where it must. It holds each agent's share
+between two bars, from `oracle.bracket`, which searches nothing, and
+searches for her exact share only when a bundle sum falls between them or
+she survives into the residual instance; the shares of removed agents are
+searched for only if `ReductionTrace.scaling` is read.
 """
 
 from __future__ import annotations
@@ -29,14 +36,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import compress, repeat
 from operator import ge, itemgetter
-from typing import Collection, Iterable, Sequence
+from typing import Callable, Collection, Iterable, Sequence
 
 from .core import Allocation, Bundle, Instance, exact, int_row, rat_to_jsonable, scaled_ranking
 from .errors import BoundsError, ContractViolation, DomainError
-from .oracle import mms
+from .oracle import bracket, checked_budget, mms
 
 
 class RuleId(Enum):
@@ -72,15 +79,24 @@ class ReductionTrace:
     """Everything needed to lift an allocation of the residual instance back.
 
     `steps` accumulate in application order; goods across steps are disjoint
-    and an agent appears in at most one step. `scaling` maps each surviving
-    agent's original id to the maximin-share divisor applied to her row.
+    and an agent appears in at most one step. `scaling` maps the original id
+    of each agent with a positive maximin share, whether a rule removed her
+    or not, to that share, the divisor of her row. `reduce` decides most
+    rules without those shares, so `scaling` is computed by `shares` the
+    first time it is read, as `MmsResult.witness` is, and only then searches
+    (under the budget `reduce` was given, so it may raise
+    OracleBudgetExceeded).
     """
 
     order_map: OrderMap
     n_original: int
     m_original: int
     steps: list[TraceStep] = field(default_factory=list)
-    scaling: dict[int, Fraction] = field(default_factory=dict)
+    shares: Callable[[], dict[int, Fraction]] = field(default=dict, repr=False, compare=False)
+
+    @cached_property
+    def scaling(self) -> dict[int, Fraction]:
+        return self.shares()
 
     def to_jsonable(self) -> dict:
         return {
@@ -236,9 +252,14 @@ def rule_rows(
             if rest:
                 raise ContractViolation(f"the share of row {k + 1} is not a multiple of 1/{den}")
         rows.append(list(ints))
-        bars.append(-(-alpha.numerator * scale // alpha.denominator))
+        bars.append(_bar(alpha, scale))
         scales.append(scale)
     return rows, bars, scales
+
+
+def _bar(alpha: Fraction, scale: int) -> int:
+    """ceil(alpha * scale): the least integer sum that reaches alpha * scale."""
+    return -(-alpha.numerator * scale // alpha.denominator)
 
 
 def meets_bar(row: Sequence[int], bar: int, goods: Iterable[int]) -> bool:
@@ -336,6 +357,32 @@ def apply_rule(
     return goods
 
 
+def _first_decided(
+    rows: list[list[int]],
+    lows: list[int],
+    highs: list[int],
+    settle: Callable[[int], int],
+) -> tuple[RuleId, int] | None:
+    """`first_rule` over share brackets: each agent's exact bar lies in
+    [lows[i], highs[i]]. The agents that reach their lower bars are the only
+    candidates; one that reaches her upper bar fires outright, and any other
+    gets her exact bar from `settle(agent)`, which also closes her bracket,
+    and is tested against it. Candidates are tried in ascending order, so the
+    (rule, agent) returned is the one exact bars would give."""
+    for rule in REDUCTION_RULES if rows else ():
+        goods, candidates = _triggered(rows, lows, rule)
+        for i in candidates:
+            row = rows[i - 1]
+            if meets_bar(row, highs[i - 1], goods) or meets_bar(row, settle(i), goods):
+                return rule, i
+    return None
+
+
+def _shares(cur: Instance, agents: Sequence[int], node_budget: int | None) -> dict[int, Fraction]:
+    """Each row's exact share of `cur` at d = its agent count, by original id."""
+    return {a: mms(cur, k, cur.n, node_budget=node_budget).value for k, a in enumerate(agents, 1)}
+
+
 def reduce(
     inst: Instance,
     eps: Fraction,
@@ -345,45 +392,75 @@ def reduce(
     """Order, scale every agent to maximin share 1, then exhaust the rules.
 
     Rules fire at threshold 3/4 + eps, always the lowest-numbered applicable
-    one, until none applies. Agents whose maximin share is zero are stripped
-    up front with an empty award (any bundle meets any ratio for them); the
-    survivors' scale factors are recorded in the trace. Every surviving
-    agent's maximin share in the result is at least 1 - 4*eps.
+    one, until none applies. Agents whose maximin share is zero (fewer
+    positive goods than agents) are stripped up front with an empty award
+    (any bundle meets any ratio for them). Every surviving agent's maximin
+    share in the result is at least 1 - 4*eps.
+
+    Each rule trigger is decided from a bracket lo <= share * L <= hi
+    (`oracle.bracket`, no search) through `_first_decided`; an agent's exact
+    share is searched for only when her bracket leaves a comparison open, or
+    when she survives, since her share is the scale of her residual row. The
+    shares of agents that rules remove are searched for only when
+    `trace.scaling` is read. A negative `node_budget` is rejected up front.
     """
     eps = exact(eps, "eps")
     if eps < 0:
         raise DomainError("eps must be nonnegative")
+    checked_budget(node_budget)
     cur, omap = order(inst)
-    trace = ReductionTrace(order_map=omap, n_original=inst.n, m_original=inst.m)
     # The original agent id of each row of `cur` and the ordered-view id of
     # each of its goods.
     agents = list(range(1, inst.n + 1))
     goods = list(range(1, inst.m + 1))
-
-    shares = [mms(cur, i, cur.n, node_budget=node_budget).value for i in range(1, cur.n + 1)]
-    zero_rows = [i for i, s in zip(range(1, cur.n + 1), shares) if s == 0]
-    if zero_rows:
-        trace.steps.extend(
-            TraceStep(rule=BAG_AWARD, agent=a, goods=Bundle(), threshold=Fraction(0))
-            for a in zero_rows
-        )
-        agents = [a for a, s in zip(agents, shares) if s != 0]
+    # Ordered rows are descending, as `bracket` takes them.
+    brackets = [bracket(ints, cur.n) for ints, _ in cur.int_rows]
+    steps = [
+        TraceStep(rule=BAG_AWARD, agent=a, goods=Bundle(), threshold=Fraction(0))
+        for a, (_, hi) in zip(agents, brackets)
+        if hi == 0
+    ]
+    if steps:
+        agents = [a for a, (_, hi) in zip(agents, brackets) if hi]
         # `cur` is still the ordered input, so the surviving ids are its rows.
         cur = restrict(cur, agents, range(1, cur.m + 1))
         # Fewer agents can only raise a share, so one stripping pass suffices;
-        # rescale against the shares at the new agent count.
-        shares = [mms(cur, i, cur.n, node_budget=node_budget).value for i in range(1, cur.n + 1)]
-    trace.scaling.update(zip(agents, shares))
+        # bracket against the shares at the new agent count.
+        brackets = [bracket(ints, cur.n) for ints, _ in cur.int_rows]
+    trace = ReductionTrace(
+        order_map=omap,
+        n_original=inst.n,
+        m_original=inst.m,
+        steps=steps,
+        shares=partial(_shares, cur, tuple(agents), node_budget),
+    )
 
     threshold = three_quarters_plus(eps)
-    rows, bars, scales = rule_rows(cur, threshold, shares)
-    while (fired := first_rule(rows, bars, REDUCTION_RULES)) is not None:
+    rows = [list(ints) for ints, _ in cur.int_rows]
+    lows = [_bar(threshold, lo) for lo, _ in brackets]
+    highs = [_bar(threshold, hi) for _, hi in brackets]
+    # Per row: its exact scale share * L once known, and its row in `cur`.
+    scales = [lo if lo == hi else None for lo, hi in brackets]
+    at = list(range(1, cur.n + 1))
+
+    def exact_scale(i: int) -> int:
+        share = mms(cur, at[i - 1], cur.n, node_budget=node_budget).value
+        return (share * cur.int_rows[at[i - 1] - 1][1]).numerator
+
+    def settle(i: int) -> int:
+        scales[i - 1] = exact_scale(i)
+        lows[i - 1] = highs[i - 1] = _bar(threshold, scales[i - 1])
+        return highs[i - 1]
+
+    while (fired := _first_decided(rows, lows, highs, settle)) is not None:
         rule, agent = fired
-        awarded = apply_rule(rows, bars, rule, agent)
-        del scales[agent - 1]
+        # The recipient meets her upper or exact bar, so her exact one.
+        awarded = apply_rule(rows, highs, rule, agent)
+        del lows[agent - 1], scales[agent - 1], at[agent - 1]
         who = agents.pop(agent - 1)
         award = Bundle.of(goods.pop(g - 1) for g in reversed(awarded))
         trace.steps.append(TraceStep(rule=rule, agent=who, goods=award, threshold=threshold))
+    scales = [exact_scale(i) if s is None else s for i, s in enumerate(scales, 1)]
     view = tuple(int_row((a, s) for a in row) for row, s in zip(rows, scales))
     return Instance(n=len(rows), m=len(goods), int_rows=view), trace
 

@@ -23,15 +23,36 @@ from mmskit import (
     normalize,
     order,
     reduce,
+    solve,
     to_delta_oni,
     value,
 )
-from mmskit.transforms import _triggered, first_rule, meets_bar, restrict, rule_good_ids, rule_rows
+from mmskit import oracle
+from mmskit.core import int_row
+from mmskit.gen import GenSpec, default_corpus, generate
+from mmskit.transforms import (
+    REDUCTION_RULES,
+    _triggered,
+    first_rule,
+    meets_bar,
+    restrict,
+    rule_good_ids,
+    rule_rows,
+)
 
 from conftest import make_instance, random_instance
 
 EPS0 = Fraction(0)
 ALPHA34 = Fraction(3, 4)
+
+
+# Small values with many zeros and ties, as integers or "p/q" text; rows of
+# fewer positive goods than agents have a zero share.
+_PQ_VALUES = st.one_of(
+    st.integers(0, 9), st.builds("{}/{}".format, st.integers(0, 12), st.sampled_from([1, 2, 3, 4, 6]))
+)
+_PQ_INSTANCES = st.integers(1, 5).flatmap(lambda n: st.integers(0, 11).flatmap(
+    lambda m: st.lists(st.lists(_PQ_VALUES, min_size=m, max_size=m), min_size=n, max_size=n)))
 
 
 def applicable(inst, rule, alpha, priority=None):
@@ -109,6 +130,23 @@ class TestLiftOrderedAllocation:
                 assert value(inst, i, lifted.bundles[i - 1]) >= value(
                     ordered, i, alloc.bundles[i - 1]
                 )
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_lift_never_lowers_a_value(self, data):
+        # Any allocation of the ordered instance, leftovers included, on
+        # tie-heavy "p/q" rows: the lift gives every agent at least her
+        # ordered value.
+        inst = make_instance(data.draw(_PQ_INSTANCES))
+        ordered, omap = order(inst)
+        owners = data.draw(st.lists(st.integers(0, inst.n), min_size=inst.m, max_size=inst.m))
+        alloc = Allocation(
+            bundles=tuple(Bundle.of(g for g, o in enumerate(owners, 1) if o == i) for i in range(1, inst.n + 1)),
+            unassigned=Bundle.of(g for g, o in enumerate(owners, 1) if o == 0),
+        )
+        lifted = lift_ordered_allocation(inst, omap, alloc)
+        for i in range(1, inst.n + 1):
+            assert value(inst, i, lifted.bundles[i - 1]) >= value(ordered, i, alloc.bundles[i - 1])
 
     def test_malformed_allocation_rejected(self):
         inst = make_instance([[1, 2]])
@@ -468,6 +506,76 @@ class TestReduce:
             red, _ = reduce(inst, EPS0)
             for rule in (RuleId.R1, RuleId.R2, RuleId.R3, RuleId.R4):
                 assert applicable(red, rule, ALPHA34) is None
+
+
+def reference_reduce(inst, eps):
+    """`reduce` as the definition reads: every agent's exact share by `mms`
+    first, bars from `rule_rows` and the rule picked by `first_rule`. Returns
+    the steps as (rule, agent, goods), the residual instance and the scaling."""
+    cur, omap = order(inst)
+    agents, goods = list(range(1, inst.n + 1)), list(range(1, inst.m + 1))
+    shares = [mms(cur, i, cur.n).value for i in range(1, cur.n + 1)]
+    steps = [("BagAward", a, ()) for a, s in zip(agents, shares) if s == 0]
+    if steps:
+        agents = [a for a, s in zip(agents, shares) if s]
+        cur = restrict(cur, agents, range(1, cur.m + 1))
+        shares = [mms(cur, i, cur.n).value for i in range(1, cur.n + 1)]
+    scaling = dict(zip(agents, shares))
+    rows, bars, scales = rule_rows(cur, Fraction(3, 4) + eps, shares)
+    while (fired := first_rule(rows, bars, REDUCTION_RULES)) is not None:
+        rule, agent = fired
+        awarded = apply_rule(rows, bars, rule, agent)
+        del scales[agent - 1]
+        award = sorted(goods.pop(g - 1) for g in reversed(awarded))
+        steps.append((rule, agents.pop(agent - 1), tuple(award)))
+    view = tuple(int_row((a, s) for a in row) for row, s in zip(rows, scales))
+    return steps, Instance(n=len(rows), m=len(goods), int_rows=view), scaling
+
+
+def assert_reduce_matches_reference(inst, eps):
+    red, trace = reduce(inst, eps)
+    steps, residual, scaling = reference_reduce(inst, eps)
+    assert [(s.rule, s.agent, s.goods.goods) for s in trace.steps] == steps
+    assert (red.n, red.m, red.int_rows) == (residual.n, residual.m, residual.int_rows)
+    assert trace.scaling == scaling
+
+
+class TestReduceDecisions:
+    """`reduce` decides rules from share brackets and searches only where a
+    comparison is open or an agent survives; its steps, residual instance
+    and scaling must be those of the exact shares."""
+
+    @pytest.mark.parametrize("eps", [Fraction(3, 3836), EPS0], ids=["3/4+3/3836", "3/4"])
+    def test_corpus_matches_exact_shares(self, eps):
+        for spec in default_corpus(200):
+            assert_reduce_matches_reference(generate(spec), eps)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_PQ_INSTANCES, st.sampled_from([EPS0, Fraction(3, 3836), Fraction(1, 100)]))
+    def test_drawn_instances_match_exact_shares(self, rows, eps):
+        assert_reduce_matches_reference(make_instance(rows), eps)
+
+    def test_negative_budget_rejected_before_any_decision(self):
+        # Every agent here leaves through R1 with no search, so only the
+        # up-front check can see the budget.
+        with pytest.raises(DomainError, match="node budget must be nonnegative"):
+            reduce(make_instance([[7, 7, 7]] * 3), EPS0, node_budget=-1)
+
+    def test_frontier_solve_runs_no_covering_probe(self, monkeypatch):
+        # Grid-1000 frontier rows at n = 6, m = 24: R1/R2 remove every agent
+        # on the brackets alone. Exact shares took 85 covering probes here.
+        probes = []
+
+        def counted(*args, **kwargs):
+            probes.append(1)
+            return cover(*args, **kwargs)
+
+        cover = oracle._cover_assignment
+        monkeypatch.setattr(oracle, "_cover_assignment", counted)
+        for seed in range(5):
+            spec = GenSpec(seed=seed, n_range=(6, 6), m_range=(24, 24), family="uniform", grid=1000)
+            solve(generate(spec), Fraction(3, 4) + Fraction(3, 3836))
+        assert probes == []
 
 
 class TestToDeltaOni:
