@@ -27,8 +27,9 @@ built once per search and only when it is needed (and not above
 `_SUBSET_SUM_CAP`); the bound cuts only subtrees that hold no cover, so
 values and witnesses are those of the search without it. A memoized share
 never depends on an earlier call's budget; `clear_cache` empties the memo.
-`bracket` bounds a share from both sides with no search (the snake deal
-below, the top-k bound above), for callers that only compare it with a bar.
+`bracket`, the first step of that search, bounds a share from both sides
+with no search (the greedy seed below, the top-k bound above), for callers
+that only compare it with a bar.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from heapq import heapreplace
 from itertools import product, zip_longest
-from operator import add
 from typing import Callable, Iterator, Sequence
 
 from .core import Bundle, Instance, scaled_ranking
@@ -223,19 +223,16 @@ def _top_k_bound(nz: Sequence[int], d: int) -> int:
     return bound
 
 
-def bracket(weights: Sequence[int], d: int) -> tuple[int, int]:
+def bracket(weights: Sequence[int], d: int) -> tuple[int, int, list[int]]:
     """Bounds lo <= max-min <= hi over partitions of `weights` (descending
-    ints) into d parts, with no search. lo is the weakest load of the snake
-    deal, whose bundle j takes goods j, 2d-1-j, 2d+j, 4d-1-j, ...; hi is the
-    top-k bound. Both are 0 when fewer than d weights are positive, and both
-    the total when d is 1."""
-    if len(weights) < d or weights[d - 1] == 0:
-        return 0, 0
-    step = 2 * d
-    # The sum of each residue class mod 2d; bundle j's load is that of class
-    # j plus that of class 2d-1-j.
-    sums = [sum(weights[j::step]) for j in range(step)]
-    return min(map(add, sums[:d], reversed(sums[d:]))), _top_k_bound(weights, d)
+    ints) into d parts, with no search, and the largest-first greedy seed's
+    bundle of each nonzero weight, whose weakest load is lo. hi is the top-k
+    bound, or lo when the seed meets total // d, when d is 1 or when fewer
+    than d weights are positive (then both are 0)."""
+    nz = weights[: len(weights) - weights.count(0)]  # descending: zeros are the tail
+    lo, choice = _lpt_choice(nz, d)
+    hi = _top_k_bound(nz, d) if len(nz) >= d > 1 and lo < sum(nz) // d else lo
+    return lo, hi, choice
 
 
 # Above `_SUBSET_SUM_CAP` the subset sums are listed explicitly for rows of
@@ -330,8 +327,9 @@ def _search(weights: tuple[int, ...], d: int, node_budget: int) -> tuple[int, li
     in a list that callers must not change (it is memoized); the zero
     weights, the tail, belong in bundle 0.
 
-    The upper bound is the top-k bound snapped down to a subset sum; the
-    lower bound is the largest-first greedy seed, improved by `_improve`
+    It starts from `bracket`, the one seed of rule decisions and searches:
+    the upper bound is its top-k bound snapped down to a subset sum; the
+    lower bound is its largest-first greedy seed, improved by `_improve`
     when it falls short. When they meet, no probe runs. Otherwise the
     covering search probes one above the seed first (the seed is often
     optimal, and one refutation certifies it). If that probe finds a cover,
@@ -349,12 +347,10 @@ def _search(weights: tuple[int, ...], d: int, node_budget: int) -> tuple[int, li
     one entry, and a memoized share is exactly what a fresh search with that
     budget returns (a search over budget raises and stores nothing).
     """
-    s = len(weights) - weights.count(0)
-    nz = weights[:s]  # descending, so the zero weights are the tail
-    lo, choice = _lpt_choice(nz, d)
+    lo, hi, choice = bracket(weights, d)
     # Most searches end at the seed, which meets total // d or the top-k bound.
-    hi = _top_k_bound(nz, d) if s >= d > 1 and lo < sum(nz) // d else lo
     if lo < hi:
+        nz = weights[: len(choice)]
         reach = _subset_sums(nz)
         snap = _snapper(nz, reach)
         hi = snap(hi)

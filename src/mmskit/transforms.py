@@ -25,7 +25,8 @@ recipient.
 
 A rule decision needs only the side of the bar a share lies on, so `reduce`
 scales by exact shares only where it must. It holds each agent's share
-between two bars, from `oracle.bracket`, which searches nothing, and
+between two bars, from `oracle.bracket` (the greedy seed and the top-k
+bound every share search starts from), which searches nothing, and
 searches for her exact share only when a bundle sum falls between them or
 she survives into the residual instance; the shares of removed agents are
 searched for only if `ReductionTrace.scaling` is read.
@@ -414,7 +415,7 @@ def reduce(
     agents = list(range(1, inst.n + 1))
     goods = list(range(1, inst.m + 1))
     # Ordered rows are descending, as `bracket` takes them.
-    brackets = [bracket(ints, cur.n) for ints, _ in cur.int_rows]
+    brackets = [bracket(ints, cur.n)[:2] for ints, _ in cur.int_rows]
     steps = [
         TraceStep(rule=BAG_AWARD, agent=a, goods=Bundle(), threshold=Fraction(0))
         for a, (_, hi) in zip(agents, brackets)
@@ -426,7 +427,7 @@ def reduce(
         cur = restrict(cur, agents, range(1, cur.m + 1))
         # Fewer agents can only raise a share, so one stripping pass suffices;
         # bracket against the shares at the new agent count.
-        brackets = [bracket(ints, cur.n) for ints, _ in cur.int_rows]
+        brackets = [bracket(ints, cur.n)[:2] for ints, _ in cur.int_rows]
     trace = ReductionTrace(
         order_map=omap,
         n_original=inst.n,

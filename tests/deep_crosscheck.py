@@ -11,7 +11,9 @@ top-k bound decide most values without a probe; at d = 4-6 the covering
 search's pruning decides more of them. Both values must be equal, and each
 witness must hold exactly d bundles that cover the row's goods once
 (`core.partitions`), its weakest bundle worth the value; `mms` witnesses
-come from the greedy seed, the local search or a probe's cover. Prints one
+come from the greedy seed, the local search or a probe's cover. The value
+times the row's L must also lie in the `oracle.bracket` bounds every search
+and every rule decision of `reduce` starts from. Prints one
 line per d, with the seconds spent in `mms` and in `mms_exhaustive` so that
 a slowdown in either shows in the log, and exits 1 on the first
 disagreement.
@@ -27,7 +29,7 @@ import time
 from mmskit import Instance, mms, mms_exhaustive, value
 from mmskit.core import partitions
 from mmskit.gen import SplitMix64
-from mmskit.oracle import _EXHAUSTIVE_VECTOR_CAP, EXHAUSTIVE_SUBSET_CAP, clear_cache
+from mmskit.oracle import _EXHAUSTIVE_VECTOR_CAP, EXHAUSTIVE_SUBSET_CAP, bracket, clear_cache
 
 SEED = 0x5EED0DEE
 # (grid, rows per shape)
@@ -55,10 +57,14 @@ def main() -> int:
                     weakest = [min(value(inst, 1, b) for b in r.witness) for r in (fast, reference)]
                     split = [len(r.witness) == d and partitions(r.witness, range(1, m + 1))
                              for r in (fast, reference)]
-                    if not (fast.value == reference.value == weakest[0] == weakest[1] and all(split)):
+                    ints, scale = inst.int_rows[0]
+                    lo, hi, _ = bracket(tuple(sorted(ints, reverse=True)), d)
+                    inside = lo <= reference.value * scale <= hi
+                    if not (fast.value == reference.value == weakest[0] == weakest[1]
+                            and all(split) and inside):
                         print(f"d={d} row={[str(v) for v in inst.values[0]]}: mms {fast.value}, "
                               f"mms_exhaustive {reference.value}, weakest bundles {weakest}, "
-                              f"d-bundle partitions {split}")
+                              f"d-bundle partitions {split}, bracket {(lo, hi)} over L = {scale}")
                         return 1
                     checked += 1
         print(f"d={d}: m {d + 2}-{m_max}, {checked} rows agree in {time.perf_counter() - t0:.1f}s "

@@ -11,6 +11,7 @@ from math import lcm
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mmskit
 from mmskit import (
@@ -39,6 +40,7 @@ from mmskit.oracle import (
     _snapper,
     _subset_sums,
     _top_k_bound,
+    bracket,
     clear_cache,
 )
 from mmskit.transforms import restrict
@@ -505,6 +507,29 @@ class TestValueSearch:
             small = len(probes)
             assert _search(tuple(w * c for w in row), d, DEFAULT_NODE_BUDGET)[0] == best * c
             assert small == len(probes) - small == count, row
+
+
+# Descending rows of at most 11 goods, tie-heavy or generic, zeros included.
+_DESCENDING_ROWS = st.lists(st.one_of(st.integers(0, 4), st.integers(0, 1000)), max_size=11).map(
+    lambda row: tuple(sorted(row, reverse=True)))
+
+
+class TestBracket:
+    # `bracket` is the seed of every share search and of every rule decision
+    # `reduce` makes without one; a bound off by one unit moves a decision.
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(_DESCENDING_ROWS, st.integers(1, 5))
+    def test_bounds_the_exact_share_and_returns_the_seed(self, weights, d):
+        lo, hi, choice = bracket(weights, d)
+        inst = make_instance([weights])
+        best = mms_exhaustive(inst, 1, d).value * inst.int_rows[0][1]
+        assert lo <= best <= hi  # so lo = hi is the exact share
+        positive = len(weights) - weights.count(0)
+        assert ((lo, hi) == (0, 0)) == (positive < d)
+        loads = [0] * d
+        for w, j in zip(weights, choice):
+            loads[j] += w
+        assert len(choice) == positive and min(loads) == lo
 
 
 def hard_rows_at_d_6():

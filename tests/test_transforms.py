@@ -27,7 +27,7 @@ from mmskit import (
     to_delta_oni,
     value,
 )
-from mmskit import oracle
+from mmskit import oracle, transforms
 from mmskit.core import int_row
 from mmskit.gen import GenSpec, default_corpus, generate
 from mmskit.transforms import (
@@ -549,6 +549,25 @@ class TestReduceDecisions:
     def test_corpus_matches_exact_shares(self, eps):
         for spec in default_corpus(200):
             assert_reduce_matches_reference(generate(spec), eps)
+
+    @pytest.mark.parametrize(
+        "eps, calls", [(Fraction(3, 3836), 100), (EPS0, 73)], ids=["3/4+3/3836", "3/4"]
+    )
+    def test_corpus_search_count(self, monkeypatch, eps, calls):
+        # The `mms` calls `reduce` makes, for open comparisons and survivors,
+        # as TestSearchTree pins nodes: any change in the strength of
+        # `oracle.bracket` moves this count (a share for every agent takes 786).
+        made = []
+
+        def counted(*args, **kwargs):
+            made.append(1)
+            return search(*args, **kwargs)
+
+        search = transforms.mms
+        monkeypatch.setattr(transforms, "mms", counted)
+        for spec in default_corpus(200):
+            reduce(generate(spec), eps)
+        assert len(made) == calls
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(_PQ_INSTANCES, st.sampled_from([EPS0, Fraction(3, 3836), Fraction(1, 100)]))
