@@ -315,10 +315,10 @@ def approx_mms2(
     for rules, preferred in (((RuleId.R5,), priority), ((RuleId.R2, RuleId.R3), frozenset())):
         while True:
             # R2/R3 only ever shrink the two top goods, so R5 stays off for stage 3.
-            if rules[0] is not RuleId.R5 and first_rule(rows, bars, (RuleId.R5,)) is not None:
+            if rules[0] is not RuleId.R5 and first_rule(rows, bars, bars, (RuleId.R5,)) is not None:
                 raise ContractViolation("the pair rule R5 applies after its stage-2 loop")
             work_priority = {p for p, a in enumerate(agents, start=1) if a in preferred}
-            fired = first_rule(rows, bars, rules, work_priority)
+            fired = first_rule(rows, bars, bars, rules, work_priority)
             if fired is None:
                 break
             rule, agent = fired

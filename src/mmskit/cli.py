@@ -173,7 +173,8 @@ def _cmd_bench(args) -> int:
     alpha, delta = rat(args.alpha), rat(args.delta)
     # Bad thresholds or budgets are one usage error, not a failure on every row;
     # one agent with no goods reaches the budget check `reduce` makes before any
-    # decision (a zero-share agent is stripped with no search).
+    # decision (a zero-share agent is stripped in closed form, with no bracket
+    # and no search).
     solve(Instance(n=1, m=0, int_rows=(((), 1),)), alpha, delta=delta, node_budget=args.budget)
     payloads = [(str(manifest_path.parent), e, alpha, delta, args.budget) for e in entries]
     if args.jobs > 1:

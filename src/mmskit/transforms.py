@@ -24,12 +24,15 @@ rule's columns, `map` and `compress`), and `apply_rule` runs it only for the
 recipient.
 
 A rule decision needs only the side of the bar a share lies on, so `reduce`
-scales by exact shares only where it must. It holds each agent's share
-between two bars, from `oracle.bracket` (the greedy seed and the top-k
-bound every share search starts from), which searches nothing, and
-searches for her exact share only when a bundle sum falls between them or
-she survives into the residual instance; the shares of removed agents are
-searched for only if `ReductionTrace.scaling` is read.
+scales by exact shares only where it must. It strips zero-share agents in
+closed form, holds each other agent's share between two bars, from
+`oracle.bracket` (the greedy seed and the top-k bound every share search
+starts from), which searches nothing, and searches for her exact share only
+when a bundle sum falls between them or she survives into the residual
+instance. `first_rule` is the one rule scanner, over such brackets; exact
+callers pass one bar list as both ends. Each exact share `reduce` finds is
+kept for `ReductionTrace.scaling`, so reading it searches only for the
+removed agents whose shares no decision needed.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from itertools import compress, repeat
 from operator import ge, itemgetter
 from typing import Callable, Collection, Iterable, Sequence
@@ -84,9 +87,9 @@ class ReductionTrace:
     of each agent with a positive maximin share, whether a rule removed her
     or not, to that share, the divisor of her row. `reduce` decides most
     rules without those shares, so `scaling` is computed by `shares` the
-    first time it is read, as `MmsResult.witness` is, and only then searches
-    (under the budget `reduce` was given, so it may raise
-    OracleBudgetExceeded).
+    first time it is read, as `MmsResult.witness` is. It reuses the exact
+    shares `reduce` found and searches only for the rest (under the budget
+    `reduce` was given, so it may raise OracleBudgetExceeded).
     """
 
     order_map: OrderMap
@@ -301,17 +304,29 @@ def pick_recipient(eligible: list[int], priority: Collection[int]) -> int:
 
 def first_rule(
     rows: list[list[int]],
-    bars: list[int],
+    lows: list[int],
+    highs: list[int],
     rules: Iterable[RuleId],
     priority: Collection[int] | None = None,
+    settle: Callable[[int], int] | None = None,
 ) -> tuple[RuleId, int] | None:
-    """The first of `rules` that some agent triggers, with the lowest-index
-    such agent (members of `priority` first); None when no rule applies.
-    `rows` and `bars` come from `rule_rows` of an ordered instance."""
+    """The first of `rules` that some agent triggers, with the agent
+    `pick_recipient` takes among those that do; None when no rule applies.
+    `rows` come from `rule_rows` of an ordered instance, and each agent's
+    exact bar lies in [lows[i], highs[i]]; exact callers pass one bar list
+    as both. The agents that reach their lower bars are the candidates,
+    tried members of `priority` first, then by index: one that reaches her
+    upper bar fires outright, and any other gets her exact bar from
+    `settle(agent)`, which also closes her bracket, and is tested against
+    it. So the (rule, agent) returned is the one exact bars would give."""
     for rule in rules if rows else ():
-        eligible = _triggered(rows, bars, rule)[1]
-        if eligible:
-            return rule, pick_recipient(eligible, priority or ())
+        goods, candidates = _triggered(rows, lows, rule)
+        if priority:
+            candidates.sort(key=lambda i: i not in priority)
+        for i in candidates:
+            row = rows[i - 1]
+            if meets_bar(row, highs[i - 1], goods) or meets_bar(row, settle(i), goods):
+                return rule, i
     return None
 
 
@@ -358,32 +373,6 @@ def apply_rule(
     return goods
 
 
-def _first_decided(
-    rows: list[list[int]],
-    lows: list[int],
-    highs: list[int],
-    settle: Callable[[int], int],
-) -> tuple[RuleId, int] | None:
-    """`first_rule` over share brackets: each agent's exact bar lies in
-    [lows[i], highs[i]]. The agents that reach their lower bars are the only
-    candidates; one that reaches her upper bar fires outright, and any other
-    gets her exact bar from `settle(agent)`, which also closes her bracket,
-    and is tested against it. Candidates are tried in ascending order, so the
-    (rule, agent) returned is the one exact bars would give."""
-    for rule in REDUCTION_RULES if rows else ():
-        goods, candidates = _triggered(rows, lows, rule)
-        for i in candidates:
-            row = rows[i - 1]
-            if meets_bar(row, highs[i - 1], goods) or meets_bar(row, settle(i), goods):
-                return rule, i
-    return None
-
-
-def _shares(cur: Instance, agents: Sequence[int], node_budget: int | None) -> dict[int, Fraction]:
-    """Each row's exact share of `cur` at d = its agent count, by original id."""
-    return {a: mms(cur, k, cur.n, node_budget=node_budget).value for k, a in enumerate(agents, 1)}
-
-
 def reduce(
     inst: Instance,
     eps: Fraction,
@@ -398,12 +387,13 @@ def reduce(
     (any bundle meets any ratio for them). Every surviving agent's maximin
     share in the result is at least 1 - 4*eps.
 
-    Each rule trigger is decided from a bracket lo <= share * L <= hi
-    (`oracle.bracket`, no search) through `_first_decided`; an agent's exact
-    share is searched for only when her bracket leaves a comparison open, or
-    when she survives, since her share is the scale of her residual row. The
-    shares of agents that rules remove are searched for only when
-    `trace.scaling` is read. A negative `node_budget` is rejected up front.
+    `first_rule` decides each rule trigger from a bracket lo <= share * L <= hi
+    (`oracle.bracket`, no search); an agent's exact share is searched for
+    only when her bracket leaves a comparison open, or when she survives,
+    since her share is the scale of her residual row. Each exact share is
+    searched for at most once and kept by original id, and `trace.scaling`
+    reuses those: reading it searches only for removed agents whose share no
+    decision needed. A negative `node_budget` is rejected up front.
     """
     eps = exact(eps, "eps")
     if eps < 0:
@@ -414,55 +404,60 @@ def reduce(
     # each of its goods.
     agents = list(range(1, inst.n + 1))
     goods = list(range(1, inst.m + 1))
-    # Ordered rows are descending, as `bracket` takes them.
-    brackets = [bracket(ints, cur.n)[:2] for ints, _ in cur.int_rows]
+    # A share is positive exactly when at least as many goods as agents are
+    # positive in its row.
+    kept = [cur.m - ints.count(0) >= cur.n for ints, _ in cur.int_rows]
     steps = [
         TraceStep(rule=BAG_AWARD, agent=a, goods=Bundle(), threshold=Fraction(0))
-        for a, (_, hi) in zip(agents, brackets)
-        if hi == 0
+        for a, keep in zip(agents, kept)
+        if not keep
     ]
     if steps:
-        agents = [a for a, (_, hi) in zip(agents, brackets) if hi]
+        agents = list(compress(agents, kept))
         # `cur` is still the ordered input, so the surviving ids are its rows.
+        # Each keeps more positive goods than agents are left, so one
+        # stripping pass suffices.
         cur = restrict(cur, agents, range(1, cur.m + 1))
-        # Fewer agents can only raise a share, so one stripping pass suffices;
-        # bracket against the shares at the new agent count.
-        brackets = [bracket(ints, cur.n)[:2] for ints, _ in cur.int_rows]
+    ids = tuple(agents)  # the original id of each row of `cur`
+    # Ordered rows are descending, as `bracket` takes them.
+    brackets = [bracket(ints, cur.n)[:2] for ints, _ in cur.int_rows]
+    # Each agent's exact share * L by original id, searched for when a
+    # decision, her residual row or `trace.scaling` first needs it.
+    scales = {a: lo for a, (lo, hi) in zip(ids, brackets) if lo == hi}
+
+    def scale_of(a: int) -> int:
+        if a not in scales:
+            k = ids.index(a) + 1
+            share = mms(cur, k, cur.n, node_budget=node_budget).value
+            scales[a] = (share * cur.int_rows[k - 1][1]).numerator
+        return scales[a]
+
     trace = ReductionTrace(
         order_map=omap,
         n_original=inst.n,
         m_original=inst.m,
         steps=steps,
-        shares=partial(_shares, cur, tuple(agents), node_budget),
+        shares=lambda: {a: Fraction(scale_of(a), den) for a, (_, den) in zip(ids, cur.int_rows)},
     )
 
     threshold = three_quarters_plus(eps)
     rows = [list(ints) for ints, _ in cur.int_rows]
     lows = [_bar(threshold, lo) for lo, _ in brackets]
     highs = [_bar(threshold, hi) for _, hi in brackets]
-    # Per row: its exact scale share * L once known, and its row in `cur`.
-    scales = [lo if lo == hi else None for lo, hi in brackets]
-    at = list(range(1, cur.n + 1))
-
-    def exact_scale(i: int) -> int:
-        share = mms(cur, at[i - 1], cur.n, node_budget=node_budget).value
-        return (share * cur.int_rows[at[i - 1] - 1][1]).numerator
 
     def settle(i: int) -> int:
-        scales[i - 1] = exact_scale(i)
-        lows[i - 1] = highs[i - 1] = _bar(threshold, scales[i - 1])
+        lows[i - 1] = highs[i - 1] = _bar(threshold, scale_of(agents[i - 1]))
         return highs[i - 1]
 
-    while (fired := _first_decided(rows, lows, highs, settle)) is not None:
+    while (fired := first_rule(rows, lows, highs, REDUCTION_RULES, settle=settle)) is not None:
         rule, agent = fired
         # The recipient meets her upper or exact bar, so her exact one.
         awarded = apply_rule(rows, highs, rule, agent)
-        del lows[agent - 1], scales[agent - 1], at[agent - 1]
+        del lows[agent - 1]
         who = agents.pop(agent - 1)
         award = Bundle.of(goods.pop(g - 1) for g in reversed(awarded))
         trace.steps.append(TraceStep(rule=rule, agent=who, goods=award, threshold=threshold))
-    scales = [exact_scale(i) if s is None else s for i, s in enumerate(scales, 1)]
-    view = tuple(int_row((a, s) for a in row) for row, s in zip(rows, scales))
+    view = tuple(int_row((x, scale_of(a)) for x in row) for row, a in zip(rows, agents))
     return Instance(n=len(rows), m=len(goods), int_rows=view), trace
 
 

@@ -87,7 +87,7 @@ def _off_share(inst: Instance, node_budget: int | None) -> tuple[int, Fraction] 
 def _fired_rule(inst: Instance, delta: Fraction) -> tuple[RuleId, int] | None:
     """The first reduction rule some agent triggers at 3/4 + delta, and the agent."""
     rows, bars, _ = rule_rows(inst, Fraction(3, 4) + delta)
-    return first_rule(rows, bars, REDUCTION_RULES)
+    return first_rule(rows, bars, bars, REDUCTION_RULES)
 
 
 @dataclass(frozen=True)

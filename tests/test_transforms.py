@@ -58,7 +58,7 @@ _PQ_INSTANCES = st.integers(1, 5).flatmap(lambda n: st.integers(0, 11).flatmap(
 def applicable(inst, rule, alpha, priority=None):
     """The agent the rule engine picks for one rule, or None."""
     rows, bars, _ = rule_rows(inst, alpha)
-    fired = first_rule(rows, bars, (rule,), priority)
+    fired = first_rule(rows, bars, bars, (rule,), priority)
     return fired and fired[1]
 
 
@@ -336,7 +336,31 @@ class TestIntegerTrigger:
             ints, bars, _ = rule_rows(Instance.from_rows(scaled), alpha)
         else:  # the engine divides by the shares through the bars
             ints, bars, _ = rule_rows(Instance.from_rows(rows), alpha, shares)
-        assert first_rule(ints, bars, rules, priority) == expected
+        assert first_rule(ints, bars, bars, rules, priority) == expected
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_bracket_scan_matches_exact_bars(self, data):
+        # Bars known only up to a bracket, with `settle` handing out the exact
+        # bar and closing the bracket, pick what the exact bars pick,
+        # priority members first, and settle each agent at most once.
+        n, m = data.draw(st.integers(1, 4)), data.draw(st.integers(0, 13))
+        rows = [data.draw(st.lists(st.integers(0, 9), min_size=m, max_size=m)) for _ in range(n)]
+        bars = data.draw(st.lists(st.integers(0, 20), min_size=n, max_size=n))
+        lows = [b - data.draw(st.integers(0, 6)) for b in bars]
+        highs = [b + data.draw(st.integers(0, 6)) for b in bars]
+        rules = data.draw(st.lists(st.sampled_from(list(RuleId)), min_size=1, max_size=5, unique=True))
+        priority = data.draw(st.sets(st.integers(1, n)))
+        settled = []
+
+        def settle(i):
+            settled.append(i)
+            lows[i - 1] = highs[i - 1] = bars[i - 1]
+            return bars[i - 1]
+
+        expected = first_rule(rows, bars, bars, rules, priority)
+        assert first_rule(rows, lows, highs, rules, priority, settle) == expected
+        assert len(settled) == len(set(settled))
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(_bag_cases())
@@ -522,7 +546,7 @@ def reference_reduce(inst, eps):
         shares = [mms(cur, i, cur.n).value for i in range(1, cur.n + 1)]
     scaling = dict(zip(agents, shares))
     rows, bars, scales = rule_rows(cur, Fraction(3, 4) + eps, shares)
-    while (fired := first_rule(rows, bars, REDUCTION_RULES)) is not None:
+    while (fired := first_rule(rows, bars, bars, REDUCTION_RULES)) is not None:
         rule, agent = fired
         awarded = apply_rule(rows, bars, rule, agent)
         del scales[agent - 1]
@@ -551,12 +575,17 @@ class TestReduceDecisions:
             assert_reduce_matches_reference(generate(spec), eps)
 
     @pytest.mark.parametrize(
-        "eps, calls", [(Fraction(3, 3836), 100), (EPS0, 73)], ids=["3/4+3/3836", "3/4"]
+        "eps, calls, total",
+        [(Fraction(3, 3836), 100, 380), (EPS0, 73, 380)],
+        ids=["3/4+3/3836", "3/4"],
     )
-    def test_corpus_search_count(self, monkeypatch, eps, calls):
+    def test_corpus_search_count(self, monkeypatch, eps, calls, total):
         # The `mms` calls `reduce` makes, for open comparisons and survivors,
         # as TestSearchTree pins nodes: any change in the strength of
         # `oracle.bracket` moves this count (a share for every agent takes 786).
+        # Reading `scaling` then searches only for the removed agents no
+        # decision settled, so each share whose bracket is open is searched
+        # for once, whatever the threshold.
         made = []
 
         def counted(*args, **kwargs):
@@ -565,9 +594,29 @@ class TestReduceDecisions:
 
         search = transforms.mms
         monkeypatch.setattr(transforms, "mms", counted)
-        for spec in default_corpus(200):
-            reduce(generate(spec), eps)
+        traces = [reduce(generate(spec), eps)[1] for spec in default_corpus(200)]
         assert len(made) == calls
+        for trace in traces:
+            trace.scaling
+        assert len(made) == total
+
+    def test_zero_share_agent_is_stripped_unbracketed(self, monkeypatch):
+        # Agent 1 has fewer positive goods than there are agents, so her
+        # share is 0 with no bound computed: only the two survivors are
+        # bracketed, once each.
+        made = []
+
+        def counted(*args, **kwargs):
+            made.append(1)
+            return bounds(*args, **kwargs)
+
+        bounds = transforms.bracket
+        monkeypatch.setattr(transforms, "bracket", counted)
+        inst = make_instance([[5, 0, 0, 0], [3, 2, 2, 1], [4, 4, 1, 1]])
+        _, trace = reduce(inst, Fraction(3, 3836))
+        assert len(made) == 2
+        first = trace.steps[0]
+        assert (first.rule, first.agent, first.goods) == ("BagAward", 1, Bundle())
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(_PQ_INSTANCES, st.sampled_from([EPS0, Fraction(3, 3836), Fraction(1, 100)]))
