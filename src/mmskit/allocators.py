@@ -220,7 +220,7 @@ def _fill_b_bags(
         satisfied={},
     )
     waiting = set(range(1, n + 1))
-    rows, bars, _ = rule_rows(inst, alpha)
+    rows, bars = rule_rows(inst, alpha)
     _award_or_grow(rows, bars, state, waiting, priority, audit)
     if waiting:
         raise GuaranteeViolation(
@@ -300,7 +300,7 @@ def approx_mms2(
         bags={k: list(b_bag_ids(k, n)) for k in range(1, n + 1)}, pool=[], satisfied={}
     )
     waiting = set(range(1, n + 1))
-    rows_in, bars_in, _ = rule_rows(inst, alpha)
+    rows_in, bars_in = rule_rows(inst, alpha)
     _award_or_grow(rows_in, bars_in, state, waiting, priority, audit)
 
     # Stage 2: reductions on the residual rows, sliced from the input's

@@ -12,24 +12,23 @@ over L in lowest terms, and divide back by L. A sub-bundle's share is that of
 the one-row instance `transforms.restrict` builds on it, whose row is over
 the lcm of the sub-bundle's own denominators.
 
-`mms` runs one search (`_search`) on the weights sorted alone, memoized on
-the key (the weights in decreasing order, d, node budget). It brackets the
-optimum between the largest-first greedy seed, improved by a move/swap
-local search, and the top-k bound snapped down to a subset sum; only when
-they differ does it run covering probes, the first one just above the
-seed. The witness is the assignment that certified the lower bound: the
-seed's, the local search's when no probe finds a cover, else the first
-cover of the last feasible probe. It is memoized with the value, and the
-goods are ranked and the partition built only when a result's `witness` is
-read, which never searches. Each covering probe applies the waste bound of
-bin completion against a table of the subset sums of the remaining goods,
-built once per search and only when it is needed (and not above
-`_SUBSET_SUM_CAP`); the bound cuts only subtrees that hold no cover, so
-values and witnesses are those of the search without it. A memoized share
-never depends on an earlier call's budget; `clear_cache` empties the memo.
-`bracket`, the first step of that search, bounds a share from both sides
-with no search (the greedy seed below, the top-k bound above), for callers
-that only compare it with a bar.
+Every `mms` call runs its own search (`_search`) on the weights sorted
+alone; no share outlives the call that computed it, so no result depends on
+an earlier call. The search brackets the optimum between the largest-first
+greedy seed, improved by a move/swap local search, and the top-k bound
+snapped down to a subset sum; only when they differ does it run covering
+probes, the first one just above the seed. The witness is the assignment
+that certified the lower bound: the seed's, the local search's when no
+probe finds a cover, else the first cover of the last feasible probe. It
+comes with the value, and the goods are ranked and the partition built only
+when a result's `witness` is read, which never searches. Each covering
+probe applies the waste bound of bin completion against a table of the
+subset sums of the remaining goods, built once per search and only when it
+is needed (and not above `_SUBSET_SUM_CAP`); the bound cuts only subtrees
+that hold no cover, so values and witnesses are those of the search without
+it. `bracket`, the first step of that search, bounds a share from both
+sides with no search (the greedy seed below, the top-k bound above), for
+callers that only compare it with a bar.
 """
 
 from __future__ import annotations
@@ -320,12 +319,10 @@ def _improve(nz: Sequence[int], d: int, choice: list[int], hi: int) -> int:
 _TOP_PROBES = 3
 
 
-@lru_cache(maxsize=100_000)
 def _search(weights: tuple[int, ...], d: int, node_budget: int) -> tuple[int, list[int]]:
     """Certified max-min over partitions of `weights` (descending ints) into
-    d parts, and a partition attaining it: the bundle of each nonzero weight,
-    in a list that callers must not change (it is memoized); the zero
-    weights, the tail, belong in bundle 0.
+    d parts, and a partition attaining it: the bundle of each nonzero weight;
+    the zero weights, the tail, belong in bundle 0.
 
     It starts from `bracket`, the one seed of rule decisions and searches:
     the upper bound is its top-k bound snapped down to a subset sum; the
@@ -342,10 +339,6 @@ def _search(weights: tuple[int, ...], d: int, node_budget: int) -> tuple[int, li
     The partition is the assignment that certified the lower bound: the
     greedy seed's, `_improve`'s when no probe finds a cover, else the first
     cover of the last feasible probe, whose leftovers join bundle 0.
-
-    Memoized on all three arguments: rows that rank to the same weights share
-    one entry, and a memoized share is exactly what a fresh search with that
-    budget returns (a search over budget raises and stores nothing).
     """
     lo, hi, choice = bracket(weights, d)
     # Most searches end at the seed, which meets total // d or the top-k bound.
@@ -378,7 +371,9 @@ def _weakest(nz: Sequence[int], d: int, choice: Sequence[int]) -> int:
     return min(loads)
 
 
-clear_cache = _search.cache_clear
+def clear_cache() -> None:
+    """Does nothing: no share outlives its `mms` call. Kept only because
+    `perfbench/run.py` calls it before each timed operation."""
 
 
 def checked_budget(node_budget: int | None) -> int:

@@ -241,14 +241,14 @@ def three_quarters_plus(x: Fraction) -> Fraction:
 
 def rule_rows(
     inst: Instance, alpha: Fraction, shares: Sequence[Fraction] | None = None
-) -> tuple[list[list[int]], list[int], list[int]]:
+) -> tuple[list[list[int]], list[int]]:
     """The rule engine's view of `inst`, each row divided by its share (1 by
     default): per row, its numerators over the lcm L of its denominators (the
-    instance's integer view), the scale S = share * L they are read over, and
-    the bar ceil(alpha * S) their sum on a bag of goods must reach
-    (`meets_bar`). Returns (rows, bars, scales); a share must be a multiple of
-    1/L, as `mms` of a whole row is."""
-    rows, bars, scales = [], [], []
+    instance's integer view), and the bar ceil(alpha * S) their sum on a bag
+    of goods must reach (`meets_bar`), where S = share * L is the scale they
+    are read over. Returns (rows, bars); a share must be a multiple of 1/L,
+    as `mms` of a whole row is."""
+    rows, bars = [], []
     for k, (ints, den) in enumerate(inst.int_rows):
         scale = den
         if shares is not None:
@@ -257,8 +257,7 @@ def rule_rows(
                 raise ContractViolation(f"the share of row {k + 1} is not a multiple of 1/{den}")
         rows.append(list(ints))
         bars.append(_bar(alpha, scale))
-        scales.append(scale)
-    return rows, bars, scales
+    return rows, bars
 
 
 def _bar(alpha: Fraction, scale: int) -> int:

@@ -1,8 +1,8 @@
 """Oracle-backed verification of allocations and instance predicates.
 
 Every check here recomputes what it needs from scratch with the exact
-oracle; nothing is trusted from the pipeline that produced the input. Each
-check starts by emptying the oracle's memo, so no share it reads was computed
+oracle; nothing is trusted from the pipeline that produced the input. The
+oracle keeps no share between calls, so no share a check reads was computed
 by an earlier solve in the same process. `check_alpha_mms` compares exact
 rationals, `value` of the received bundle against alpha * share, and never
 reads the rule engine's rows and bars the solver decides on, so the verdict
@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .core import Allocation, Instance, canonical_json, exact, is_ordered, rat_to_text, value
 from .errors import ContractViolation, DomainError
-from .oracle import clear_cache, mms
+from .oracle import mms
 from .allocators import classify_agents
 from .transforms import REDUCTION_RULES, RuleId, first_rule, rule_rows
 
@@ -62,7 +62,6 @@ def check_alpha_mms(
     """Exactly compare each agent's received value against alpha times her
     maximin share. The allocation must be well-formed over the instance."""
     alpha = exact(alpha, "alpha")
-    clear_cache()
     if alloc.n_agents != inst.n:
         raise DomainError(f"allocation has {alloc.n_agents} agents, instance has {inst.n}")
     alloc.validate(inst.m)
@@ -86,7 +85,7 @@ def _off_share(inst: Instance, node_budget: int | None) -> tuple[int, Fraction] 
 
 def _fired_rule(inst: Instance, delta: Fraction) -> tuple[RuleId, int] | None:
     """The first reduction rule some agent triggers at 3/4 + delta, and the agent."""
-    rows, bars, _ = rule_rows(inst, Fraction(3, 4) + delta)
+    rows, bars = rule_rows(inst, Fraction(3, 4) + delta)
     return first_rule(rows, bars, bars, REDUCTION_RULES)
 
 
@@ -101,7 +100,6 @@ def check_oni(inst: Instance, delta: Fraction, *, node_budget: int | None = None
     exactly 1 per agent), and (3/4 + delta)-irreducible? The first failing
     predicate is named."""
     delta = exact(delta, "delta")
-    clear_cache()
     if not is_ordered(inst):
         return OniReport(False, "not ordered")
     if (off := _off_share(inst, node_budget)) is not None:
@@ -159,7 +157,6 @@ def check_structural_lemmas(
 ) -> StructuralReport:
     """Run the structural checks; preconditions are certified, not trusted."""
     delta = exact(delta, "delta")
-    clear_cache()
     if not is_ordered(inst):
         raise ContractViolation("structural checks require an ordered instance")
     if (off := _off_share(inst, node_budget)) is not None:
@@ -210,7 +207,6 @@ def check_reduction_validity(
 
     Surviving rows of `after` must appear in the same order as in `before`.
     """
-    clear_cache()
     if after.n != before.n - 1:
         raise ContractViolation("after-instance must have exactly one fewer agent")
     if not 1 <= removed_agent <= before.n:

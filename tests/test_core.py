@@ -362,8 +362,8 @@ class TestScaledRanking:
         (ints, scale), = inst.int_rows
         assert scale == lcm(*(v.denominator for v in row))
         assert scaled_ranking(ints) == sorted(range(1, len(row) + 1), key=lambda g: row[g - 1], reverse=True)
-        # A sub-bundle's row is over its own lcm, not the row's: the oracle's
-        # memo keys read it.
+        # A sub-bundle's row is over its own lcm, not the row's: the oracle
+        # searches these numerators.
         (nums, denom), = restrict(inst, [1], goods).int_rows
         assert denom == lcm(*(row[g - 1].denominator for g in goods))
         assert [Fraction(a, denom) for a in nums] == [row[g - 1] for g in goods]

@@ -41,7 +41,6 @@ from mmskit.oracle import (
     _subset_sums,
     _top_k_bound,
     bracket,
-    clear_cache,
 )
 from mmskit.transforms import restrict
 
@@ -161,7 +160,6 @@ class TestOracleEquivalence:
             inst = make_instance([[rng.randint(0, 3) for _ in range(m)] for _ in range(n)])
             d = rng.randint(1, 4)
             agent = rng.randint(1, n)
-            clear_cache()
             a = mms(inst, agent, d)
             b = mms_exhaustive(inst, agent, d)
             assert a.value == b.value
@@ -173,7 +171,6 @@ class TestOracleEquivalence:
             row = [Fraction(rng.randint(0, 12), rng.randint(1, 9)) for _ in range(m)]
             inst = make_instance([row])
             d = rng.randint(1, 3)
-            clear_cache()
             assert mms(inst, 1, d).value == mms_exhaustive(inst, 1, d).value
 
     def test_restricted_subsets(self, rng):
@@ -186,7 +183,6 @@ class TestOracleEquivalence:
             rng.shuffle(goods)
             sub = restrict(inst, [1], sorted(goods[:k]))
             d = rng.randint(1, 4)
-            clear_cache()
             a = mms(sub, 1, d)
             b = mms_exhaustive(sub, 1, d)
             assert a.value == b.value
@@ -239,7 +235,6 @@ class TestExhaustiveLoadDtypes:
         # `restrict` keeps the listed (ascending) order, so the sub-instance's
         # good t is ids[t - 1] and the enumeration order is the same.
         sub = restrict(inst, [1], ids)
-        clear_cache()
         res = mms_exhaustive(sub, 1, d)
         assert res.value == mms(sub, 1, d).value
         value, witness = first_maximiser(inst, 1, d, ids)
@@ -377,7 +372,6 @@ class TestPruningCrossCheck:
             for k in range(100):
                 row = [rng.randint(0, 20 if k % 5 == 0 else 100) for _ in range(rng.randint(d + 2, m_max))]
                 inst = make_instance([row])
-                clear_cache()
                 res = mms(inst, 1, d)
                 assert res.value == mms_exhaustive(inst, 1, d).value, (d, row)
                 assert_valid_witness(inst, 1, d, res)
@@ -490,7 +484,6 @@ class TestValueSearch:
         # probes here).
         values = [Fraction(1, 10**2999 + k) for k in (1, 3, 7, 9)]
         inst = make_instance([values, values])
-        clear_cache()
         alloc, _ = solve(inst, ALPHA_MAX)
         assert check_alpha_mms(inst, alloc, ALPHA_MAX).passed
         assert probes == []
@@ -576,7 +569,7 @@ class TestSearchTree:
     def search_nodes(monkeypatch, rows, d):
         budgets = record_budgets(monkeypatch)
         for row in rows:
-            _search.__wrapped__(tuple(sorted(row, reverse=True)), d, DEFAULT_NODE_BUDGET)
+            _search(tuple(sorted(row, reverse=True)), d, DEFAULT_NODE_BUDGET)
         return sum(b.nodes for b in budgets)
 
     def test_hard_rows_at_d_6(self, monkeypatch):
@@ -617,7 +610,6 @@ def test_witness_read_is_free_and_valid_on_rows_that_probe(monkeypatch, rng):
         inst = make_instance([row])
         for log in (covers, improved, budgets):
             log.clear()
-        clear_cache()
         mms(inst, 1, d)
         nodes = sum(b.nodes for b in budgets)
         nz = sorted((v for v in row if v), reverse=True)
@@ -626,7 +618,6 @@ def test_witness_read_is_free_and_valid_on_rows_that_probe(monkeypatch, rng):
         sources["cover" if covers else "seed" if certifier == seed else "improve"] += 1
         ranked = sorted(range(1, len(row) + 1), key=lambda g: (-row[g - 1], g))
         expected = [sorted(g for g, j in zip(ranked, certifier + [0] * len(row)) if j == b) for b in range(d)]
-        clear_cache()
         res = mms(inst, 1, d, node_budget=nodes)
         spent = [b.nodes for b in budgets]
         assert [list(b.goods) for b in res.witness] == expected, (d, row)
@@ -651,7 +642,6 @@ def test_value_only_callers_build_no_witness(monkeypatch):
     monkeypatch.setattr(oracle, "_bundles", refuse)
     monkeypatch.setattr(oracle, "scaled_ranking", refuse)
     for inst, alloc in cases:
-        clear_cache()
         reduce(inst, Fraction(3, 3836))
         assert check_alpha_mms(inst, alloc, ALPHA_MAX).passed
         with pytest.raises(Built):
@@ -765,21 +755,18 @@ class TestBudget:
         # 2743, so the value search must probe; its probes take 25 nodes.
         row = [937, 929, 919, 911, 907, 887, 883, 881, 877, 863]
         inst = make_instance([row])
-        clear_cache()
         with pytest.raises(OracleBudgetExceeded):
             mms(inst, 1, 3, node_budget=5)
         assert mms(inst, 1, 3, node_budget=25).value == 2743
 
     def test_budget_error_carries_counts(self):
         inst = make_instance([[977, 953, 911, 877, 859, 823, 787]])
-        clear_cache()
         with pytest.raises(OracleBudgetExceeded) as exc:
             mms(inst, 1, 3, node_budget=2)
         assert exc.value.budget == 2 and exc.value.nodes > 2
 
     def test_negative_budget_is_a_domain_error(self):
         inst = make_instance([[977, 953, 911, 877, 859, 823, 787]])
-        clear_cache()
         with pytest.raises(DomainError, match="nonnegative"):
             mms(inst, 1, 3, node_budget=-5)
         # Budget 0 is legal: it allows no search nodes.
@@ -787,19 +774,28 @@ class TestBudget:
         with pytest.raises(OracleBudgetExceeded):
             mms(inst, 1, 3, node_budget=0)
 
-    def test_budget_is_part_of_the_memo_key(self):
-        # A share memoized under the default budget must not answer a call
-        # whose own budget is too small to certify it.
+    def test_each_call_is_held_to_its_own_budget(self):
+        # A share certified under the default budget must not answer a later
+        # call whose own budget is too small to certify it.
         inst = make_instance([[9, 8, 7, 6, 5, 4, 3, 2, 1]])
-        clear_cache()
         assert mms(inst, 1, 3).value == 15
         with pytest.raises(OracleBudgetExceeded) as exc:
             mms(inst, 1, 3, node_budget=1)
         assert (exc.value.nodes, exc.value.budget) == (2, 1)
 
-    def test_same_value_multiset_is_searched_once(self):
+    def test_every_call_searches(self, monkeypatch):
+        # No share outlives its call: rows with one multiset of values, and a
+        # repeated call, each run their own search, whose first step is the
+        # bracket.
+        calls = []
+        real = oracle.bracket
+
+        def counted(weights, d):
+            calls.append(weights)
+            return real(weights, d)
+
+        monkeypatch.setattr(oracle, "bracket", counted)
         inst = make_instance([[5, 3, 8, 1, 4], [8, 1, 3, 5, 4], [4, 1, 5, 8, 3]])
-        clear_cache()
-        shares = [mms(inst, i, 2).value for i in (1, 2, 3)]
-        assert shares == [10, 10, 10]
-        assert _search.cache_info().misses == 1
+        shares = [mms(inst, i, 2).value for i in (1, 2, 3, 1)]
+        assert shares == [10, 10, 10, 10]
+        assert len(calls) == 4

@@ -57,7 +57,7 @@ _PQ_INSTANCES = st.integers(1, 5).flatmap(lambda n: st.integers(0, 11).flatmap(
 
 def applicable(inst, rule, alpha, priority=None):
     """The agent the rule engine picks for one rule, or None."""
-    rows, bars, _ = rule_rows(inst, alpha)
+    rows, bars = rule_rows(inst, alpha)
     fired = first_rule(rows, bars, bars, (rule,), priority)
     return fired and fired[1]
 
@@ -333,9 +333,9 @@ class TestIntegerTrigger:
         scaled = [[v / s for v in row] for row, s in zip(rows, shares)]
         expected = _fraction_first_rule(scaled, rules, alpha, priority)
         if divide_first:  # the rows arrive scaled, read over their own lcm
-            ints, bars, _ = rule_rows(Instance.from_rows(scaled), alpha)
+            ints, bars = rule_rows(Instance.from_rows(scaled), alpha)
         else:  # the engine divides by the shares through the bars
-            ints, bars, _ = rule_rows(Instance.from_rows(rows), alpha, shares)
+            ints, bars = rule_rows(Instance.from_rows(rows), alpha, shares)
         assert first_rule(ints, bars, bars, rules, priority) == expected
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -369,7 +369,7 @@ class TestIntegerTrigger:
         # test must say exactly what value(bag) >= alpha * share says.
         row, share, alpha, bag = case
         inst = Instance.from_rows([row])
-        rows, bars, _ = rule_rows(inst, alpha, None if share is None else [share])
+        rows, bars = rule_rows(inst, alpha, None if share is None else [share])
         expected = value(inst, 1, bag) >= alpha * (1 if share is None else share)
         assert meets_bar(rows[0], bars[0], bag) is expected
 
@@ -379,7 +379,7 @@ class TestIntegerTrigger:
         # Every rule, dummies past m included (n up to 4 and m down to 0, so
         # some rules have only dummies), against one `meets_bar` per agent.
         rows, shares, alpha, _, _ = case
-        ints, bars, _ = rule_rows(Instance.from_rows(rows), alpha, shares)
+        ints, bars = rule_rows(Instance.from_rows(rows), alpha, shares)
         for rule in RuleId:
             goods = tuple(g for g in rule_good_ids(rule, len(ints)) if g <= len(ints[0]))
             naive = [i for i in range(1, len(ints) + 1) if meets_bar(ints[i - 1], bars[i - 1], goods)]
@@ -401,7 +401,7 @@ class TestIntegerTrigger:
         # Agent 1 triggers R1 and agent 2 does not: awarding to agent 2 must
         # raise before anything is dropped.
         inst = make_instance([[1, "1/2", "1/2"], ["1/2", "1/2", "1/2"]])
-        rows, bars, _ = rule_rows(inst, ALPHA34)
+        rows, bars = rule_rows(inst, ALPHA34)
         before = ([list(row) for row in rows], list(bars))
         assert _triggered(rows, bars, RuleId.R1)[1] == [1]
         with pytest.raises(ContractViolation, match="not applicable to agent 2"):
@@ -417,14 +417,14 @@ class TestIntegerTrigger:
 class TestApplyRule:
     def test_top_rule_bookkeeping(self):
         inst = make_instance([[1, "1/2", "1/2"], ["1/2", "1/2", "1/2"]])
-        rows, bars, _ = rule_rows(inst, ALPHA34)
+        rows, bars = rule_rows(inst, ALPHA34)
         awarded = apply_rule(rows, bars, RuleId.R1, 1)
         assert (len(rows), len(bars), len(rows[0])) == (1, 1, 2)
         assert awarded == (1,)
 
     def test_triple_rule_removes_three_goods(self):
         inst = make_instance([["1/2", "1/2", "1/4", "1/4", "1/4"]] * 2)
-        rows, bars, _ = rule_rows(inst, ALPHA34)
+        rows, bars = rule_rows(inst, ALPHA34)
         awarded = apply_rule(rows, bars, RuleId.R2, 1)
         assert (len(rows), len(rows[0])) == (1, 2)
         assert awarded == (3, 4, 5)
@@ -432,20 +432,20 @@ class TestApplyRule:
     def test_pair_rule_reindexes(self):
         row = ["2/5"] * 7
         inst = make_instance([row] * 3)
-        rows, bars, _ = rule_rows(inst, ALPHA34)
+        rows, bars = rule_rows(inst, ALPHA34)
         awarded = apply_rule(rows, bars, RuleId.R4, 2)
         assert awarded == (1, 7)
-        assert (rows, bars) == rule_rows(restrict(inst, (1, 3), range(2, 7)), ALPHA34)[:2]
+        assert (rows, bars) == rule_rows(restrict(inst, (1, 3), range(2, 7)), ALPHA34)
         assert all(row == sorted(row, reverse=True) for row in rows)
 
     def test_inapplicable_rule_rejected(self):
         inst = make_instance([["1/2", "1/2"]])
-        rows, bars, _ = rule_rows(inst, ALPHA34)
+        rows, bars = rule_rows(inst, ALPHA34)
         with pytest.raises(ContractViolation, match="not applicable"):
             apply_rule(rows, bars, RuleId.R1, 1)
         with pytest.raises(ContractViolation, match="out of range"):
             apply_rule(rows, bars, RuleId.R5, 2)
-        assert (rows, bars) == rule_rows(inst, ALPHA34)[:2]
+        assert (rows, bars) == rule_rows(inst, ALPHA34)
 
 
 class TestRestrict:
@@ -545,7 +545,8 @@ def reference_reduce(inst, eps):
         cur = restrict(cur, agents, range(1, cur.m + 1))
         shares = [mms(cur, i, cur.n).value for i in range(1, cur.n + 1)]
     scaling = dict(zip(agents, shares))
-    rows, bars, scales = rule_rows(cur, Fraction(3, 4) + eps, shares)
+    rows, bars = rule_rows(cur, Fraction(3, 4) + eps, shares)
+    scales = [(s * den).numerator for s, (_, den) in zip(shares, cur.int_rows)]
     while (fired := first_rule(rows, bars, bars, REDUCTION_RULES)) is not None:
         rule, agent = fired
         awarded = apply_rule(rows, bars, rule, agent)

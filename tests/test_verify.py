@@ -53,18 +53,23 @@ class TestCheckAlphaMms:
         assert check_alpha_mms(inst, alloc, Fraction(1)).passed
 
     def test_shares_are_searched_afresh_after_solve(self, monkeypatch):
-        inst = make_instance([[9, 7, 5, 4, 3, 2, 2, 1], [8, 8, 6, 5, 3, 3, 2, 1]])
+        # Both agents survive `reduce` here, so solve searches their shares
+        # first; verify must still run a search, which starts with the
+        # bracket, for each agent rather than read a share solve left behind.
+        inst = make_instance([[3, 6, 5, 8], [5, 8, 3, 6]])
+        real = oracle.bracket
+        brackets = []
+
+        def counted(weights, d):
+            brackets.append(weights)
+            return real(weights, d)
+
+        monkeypatch.setattr(oracle, "bracket", counted)
         alloc, _ = solve(inst, Fraction(3, 4))
-        search = oracle._search
-        searches = []
-
-        def counted(*args):
-            searches.append(args)
-            return search(*args)
-
-        monkeypatch.setattr(oracle, "_search", counted)
+        assert brackets
+        brackets.clear()
         assert check_alpha_mms(inst, alloc, Fraction(3, 4)).passed
-        assert len(searches) == inst.n
+        assert len(brackets) == inst.n
 
     def test_starved_agent_fails(self):
         inst = make_instance([[1, 1], [1, 1]])
