@@ -6,7 +6,8 @@ arithmetic). One engine, `_award_or_grow`, holds the bag-filling policy: a
 bag some waiting agent values at the threshold is awarded at once (priority
 class first, then the lowest index); otherwise the next unbagged good joins
 the lowest-index open bag. It decides on the rule engine's integer rows and
-bars (`transforms.rule_rows`) with the rules' own test, `meets_bar`.
+bars (`transforms.rule_rows`) with the rules' own all-agents test,
+`reaching`.
 `bag_fill` and `approx_mms1` run it on bags seeded with pairs {k, 2n-k+1} of
 one high- and one low-ranked good. `approx_mms2` runs it on the pair bags
 with nothing to add, so it only awards, applies reductions to slices of the
@@ -38,8 +39,8 @@ from .transforms import (
     apply_rule,
     first_rule,
     lift_allocation,
-    meets_bar,
     pick_recipient,
+    reaching,
     rule_rows,
     three_quarters_plus,
     to_delta_oni,
@@ -137,8 +138,8 @@ def _award_or_grow(
     """Run the bag-filling policy until every waiting agent is served or no
     move is left.
 
-    Agent i values a bag at the threshold when `meets_bar(rows[i - 1],
-    bars[i - 1], bag)`. Awards win over growth: the lowest-index open bag
+    Agent i values a bag at the threshold when her numerators on it reach
+    her bar (`reaching`). Awards win over growth: the lowest-index open bag
     some waiting agent values at the threshold goes to the lowest-index such
     agent, priority members first. Otherwise the first pool good joins the
     lowest-index open bag. With neither move possible the loop stops, and the
@@ -146,18 +147,16 @@ def _award_or_grow(
     the state started with partitioned.
 
     Each open bag keeps the list of waiting agents that value it at the
-    threshold, tested once per bag with `meets_bar`. A move changes only
-    what it touches: an award drops its bag and removes its agent from the
-    other lists; a growth re-tests only the bag that grew, from each waiting
-    agent's running sum over it.
+    threshold, tested once per bag. A move changes only what it touches: an
+    award drops its bag and removes its agent from the other lists; a growth
+    re-tests only the bag that grew.
     """
     goods = set().union(*state.groups())
-    order = sorted(waiting)
-    eligible = {
-        k: [i for i in order if meets_bar(rows[i - 1], bars[i - 1], bag)]
-        for k, bag in state.bags.items()
-    }
-    grown, sums = None, {}  # the bag that grows, and its value to each waiting agent
+
+    def eligible_for(bag: list[int]) -> list[int]:
+        return [i for i in reaching(rows, bars, bag) if i in waiting]
+
+    eligible = {k: eligible_for(bag) for k, bag in state.bags.items()}
     while waiting and state.bags:
         k = next((k for k in sorted(state.bags) if eligible[k]), None)
         if k is not None:
@@ -166,7 +165,6 @@ def _award_or_grow(
             bundle = Bundle.of(state.bags.pop(k))
             state.satisfied[agent] = bundle
             waiting.discard(agent)
-            order.remove(agent)
             if audit is not None:
                 audit.append(
                     {
@@ -181,15 +179,8 @@ def _award_or_grow(
                     others.remove(agent)
         elif state.pool:
             k = min(state.bags)
-            bag = state.bags[k]
-            g = state.pool.pop(0)
-            bag.append(g)
-            if grown == k:
-                for i in order:
-                    sums[i] += rows[i - 1][g - 1]
-            else:
-                grown, sums = k, {i: sum(rows[i - 1][h - 1] for h in bag) for i in order}
-            eligible[k] = [i for i in order if sums[i] >= bars[i - 1]]
+            state.bags[k].append(state.pool.pop(0))
+            eligible[k] = eligible_for(state.bags[k])
         else:
             return
         state.check_partition(goods)

@@ -16,12 +16,14 @@ concrete goods slot by slot, most valuable first. An ordering map is a
 plain tuple of per-agent permutations, checked to be bijections by the lift
 that uses it. Transformations permute, slice or rescale the stored integer
 view (`Instance.int_rows`), with `core.int_row` to put new rows in lowest
-terms. `rule_rows` turns it into numerators and bars, and `meets_bar` is the
-one threshold test, shared with bag filling, so the residual instance of
-`reduce` is built once, at the end. `_triggered` runs that test for every
-agent of a rule in one pass of C-level iterators (`itemgetter` over the
-rule's columns, `map` and `compress`), and `apply_rule` runs it only for the
-recipient.
+terms. `rule_rows` turns it into numerators and bars, one bar ceil(alpha * L)
+per row. `reduce` is the one place where shares become bars (`_bar`), so it
+builds its residual instance once, at the end. The bar test, shared with
+bag filling, has two forms: `meets_bar` for one agent, and `reaching` for
+every agent at once, in one pass of C-level iterators (`itemgetter` over
+the goods' columns, `map` and `compress`). `first_rule` runs `reaching` on
+a rule's goods and bag filling on a bag's; `apply_rule` runs `meets_bar`
+only for the recipient.
 
 A rule decision needs only the side of the bar a share lies on, so `reduce`
 scales by exact shares only where it must. It strips zero-share agents in
@@ -239,25 +241,13 @@ def three_quarters_plus(x: Fraction) -> Fraction:
     return Fraction(3, 4) + x
 
 
-def rule_rows(
-    inst: Instance, alpha: Fraction, shares: Sequence[Fraction] | None = None
-) -> tuple[list[list[int]], list[int]]:
-    """The rule engine's view of `inst`, each row divided by its share (1 by
-    default): per row, its numerators over the lcm L of its denominators (the
-    instance's integer view), and the bar ceil(alpha * S) their sum on a bag
-    of goods must reach (`meets_bar`), where S = share * L is the scale they
-    are read over. Returns (rows, bars); a share must be a multiple of 1/L,
-    as `mms` of a whole row is."""
-    rows, bars = [], []
-    for k, (ints, den) in enumerate(inst.int_rows):
-        scale = den
-        if shares is not None:
-            scale, rest = divmod(den * shares[k].numerator, shares[k].denominator)
-            if rest:
-                raise ContractViolation(f"the share of row {k + 1} is not a multiple of 1/{den}")
-        rows.append(list(ints))
-        bars.append(_bar(alpha, scale))
-    return rows, bars
+def rule_rows(inst: Instance, alpha: Fraction) -> tuple[list[list[int]], list[int]]:
+    """The rule engine's view of `inst`: per row, its numerators over the lcm
+    L of its denominators (the instance's integer view), and the bar
+    ceil(alpha * L) their sum on a set of goods must reach (`meets_bar`,
+    `reaching`). Returns (rows, bars)."""
+    rows = [list(ints) for ints, _ in inst.int_rows]
+    return rows, [_bar(alpha, den) for _, den in inst.int_rows]
 
 
 def _bar(alpha: Fraction, scale: int) -> int:
@@ -266,8 +256,8 @@ def _bar(alpha: Fraction, scale: int) -> int:
 
 
 def meets_bar(row: Sequence[int], bar: int, goods: Iterable[int]) -> bool:
-    """The one threshold test of the solver: the row's numerators on `goods`
-    (1-based) sum to at least its bar from `rule_rows`."""
+    """The bar test for one agent: the row's numerators on `goods` (1-based)
+    sum to at least its bar; `reaching` asks it of every agent at once."""
     return sum(row[g - 1] for g in goods) >= bar
 
 
@@ -277,20 +267,17 @@ def _rule_goods(rows: list[list[int]], rule: RuleId) -> tuple[int, ...]:
     return tuple(filter(len(rows[0]).__ge__, ids))
 
 
-def _triggered(
-    rows: list[list[int]], bars: list[int], rule: RuleId
-) -> tuple[tuple[int, ...], list[int]]:
-    """The rule's goods in integer rows and, ascending, the agents whose
-    numerators on them reach their bars: `meets_bar` for every agent at once,
-    as sums of the rule's columns compared with the bars."""
-    goods = _rule_goods(rows, rule)
-    if not goods:  # only dummies: every sum is 0
+def reaching(rows: list[list[int]], bars: list[int], goods: Sequence[int]) -> list[int]:
+    """The agents, ascending, whose numerators on `goods` (1-based) reach
+    their bars: `meets_bar` for every agent at once, as sums of the goods'
+    columns compared with the bars."""
+    if not goods:  # every sum is 0
         sums = repeat(0)
     elif len(goods) == 1:
         sums = map(itemgetter(goods[0] - 1), rows)
     else:
         sums = map(sum, map(itemgetter(*[g - 1 for g in goods]), rows))
-    return goods, list(compress(range(1, len(rows) + 1), map(ge, sums, bars)))
+    return list(compress(range(1, len(rows) + 1), map(ge, sums, bars)))
 
 
 def pick_recipient(eligible: list[int], priority: Collection[int]) -> int:
@@ -319,7 +306,8 @@ def first_rule(
     `settle(agent)`, which also closes her bracket, and is tested against
     it. So the (rule, agent) returned is the one exact bars would give."""
     for rule in rules if rows else ():
-        goods, candidates = _triggered(rows, lows, rule)
+        goods = _rule_goods(rows, rule)
+        candidates = reaching(rows, lows, goods)
         if priority:
             candidates.sort(key=lambda i: i not in priority)
         for i in candidates:

@@ -3,6 +3,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mmskit import (
     ALPHA_MAX,
@@ -44,6 +45,45 @@ HALF = Fraction(1, 2)
 
 def oni_of(inst, eps=Fraction(3, 3836)):
     return to_delta_oni(inst, eps)[0]
+
+
+@st.composite
+def _ordered_rows(draw):
+    """Non-increasing rows of "p/q" values in [0, 1] with denominators 1, 4
+    and 12, at n 1-5 and m 2n to 2n + 10."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(2 * n, 2 * n + 10))
+    value = st.sampled_from([f"{p}/{q}" for q in (1, 4, 12) for p in range(q + 1)])
+    return [sorted(draw(st.lists(value, min_size=m, max_size=m)), key=Fraction, reverse=True)
+            for _ in range(n)]
+
+
+def reference_fill(values, alpha, priority):
+    """The bag-filling policy as `_award_or_grow` states it, in Fractions:
+    the lowest-index open bag some waiting agent values at alpha or more goes
+    to a priority member among them first, else to the lowest id; otherwise
+    the first pool good joins the lowest-index open bag. Returns the awards
+    as (bag, recipient, eligible)."""
+    n, m = len(values), len(values[0])
+    bags = {k: list(b_bag_ids(k, n)) for k in range(1, n + 1)}
+    pool = list(range(2 * n + 1, m + 1))
+    waiting = set(range(1, n + 1))
+    awards = []
+    while waiting and bags:
+        for k in sorted(bags):
+            eligible = tuple(
+                i for i in sorted(waiting) if sum(values[i - 1][g - 1] for g in bags[k]) >= alpha
+            )
+            if eligible:
+                agent = next((i for i in eligible if i in priority), eligible[0])
+                awards.append((Bundle.of(bags.pop(k)), agent, eligible))
+                waiting.remove(agent)
+                break
+        else:
+            if not pool:
+                break
+            bags[min(bags)].append(pool.pop(0))
+    return awards
 
 
 class TestBagIds:
@@ -214,6 +254,23 @@ class TestBagFill:
             _fill_b_bags(inst, ALPHA34, frozenset(), audit)
             for event in audit:
                 assert value(inst, event["recipient"], event["bag"]) >= ALPHA34
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(_ordered_rows(), st.integers(0, 16), st.data())
+    def test_engine_matches_policy_definition(self, rows, eighths, data):
+        # Any ordered rows, priority set and threshold in eighths up to 2 (so
+        # that bags grow past their pairs and pools run out), preconditions
+        # or not: every award, with the agents eligible for it, is the policy's.
+        inst = make_instance(rows)
+        alpha = Fraction(eighths, 8)
+        priority = frozenset(data.draw(st.sets(st.integers(1, inst.n))))
+        audit = []
+        try:
+            _fill_b_bags(inst, alpha, priority, audit)
+        except GuaranteeViolation:
+            pass
+        got = [(e["bag"], e["recipient"], e["eligible"]) for e in audit]
+        assert got == reference_fill(inst.values, alpha, priority)
 
 
 class TestBagState:

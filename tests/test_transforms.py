@@ -32,9 +32,10 @@ from mmskit.core import int_row
 from mmskit.gen import GenSpec, default_corpus, generate
 from mmskit.transforms import (
     REDUCTION_RULES,
-    _triggered,
+    _rule_goods,
     first_rule,
     meets_bar,
+    reaching,
     restrict,
     rule_good_ids,
     rule_rows,
@@ -60,6 +61,13 @@ def applicable(inst, rule, alpha, priority=None):
     rows, bars = rule_rows(inst, alpha)
     fired = first_rule(rows, bars, bars, (rule,), priority)
     return fired and fired[1]
+
+
+def share_rows(inst, alpha, shares):
+    """Rows of `inst` over their own L, each with the bar of the definition,
+    ceil(alpha * share * L): the numerator sum that reaches alpha * share."""
+    rows = [list(ints) for ints, _ in inst.int_rows]
+    return rows, [ceil(alpha * s * den) for s, (_, den) in zip(shares, inst.int_rows)]
 
 
 class TestOrder:
@@ -334,8 +342,8 @@ class TestIntegerTrigger:
         expected = _fraction_first_rule(scaled, rules, alpha, priority)
         if divide_first:  # the rows arrive scaled, read over their own lcm
             ints, bars = rule_rows(Instance.from_rows(scaled), alpha)
-        else:  # the engine divides by the shares through the bars
-            ints, bars = rule_rows(Instance.from_rows(rows), alpha, shares)
+        else:  # the shares divide through the bars
+            ints, bars = share_rows(Instance.from_rows(rows), alpha, shares)
         assert first_rule(ints, bars, bars, rules, priority) == expected
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -369,21 +377,25 @@ class TestIntegerTrigger:
         # test must say exactly what value(bag) >= alpha * share says.
         row, share, alpha, bag = case
         inst = Instance.from_rows([row])
-        rows, bars = rule_rows(inst, alpha, None if share is None else [share])
+        rows, bars = rule_rows(inst, alpha) if share is None else share_rows(inst, alpha, [share])
         expected = value(inst, 1, bag) >= alpha * (1 if share is None else share)
         assert meets_bar(rows[0], bars[0], bag) is expected
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-    @given(_engine_cases())
-    def test_one_pass_matches_per_agent_scan(self, case):
+    @given(_engine_cases(), st.data())
+    def test_one_pass_matches_per_agent_scan(self, case, data):
         # Every rule, dummies past m included (n up to 4 and m down to 0, so
-        # some rules have only dummies), against one `meets_bar` per agent.
+        # some rules have only dummies), and any good set of the rows, as bag
+        # filling asks, against one `meets_bar` per agent.
         rows, shares, alpha, _, _ = case
-        ints, bars = rule_rows(Instance.from_rows(rows), alpha, shares)
-        for rule in RuleId:
-            goods = tuple(g for g in rule_good_ids(rule, len(ints)) if g <= len(ints[0]))
+        ints, bars = share_rows(Instance.from_rows(rows), alpha, shares)
+        m = len(ints[0])
+        bag = tuple(data.draw(st.lists(st.integers(1, m), unique=True))) if m else ()
+        rule_goods = [tuple(g for g in rule_good_ids(rule, len(ints)) if g <= m) for rule in RuleId]
+        assert [_rule_goods(ints, rule) for rule in RuleId] == rule_goods
+        for goods in rule_goods + [bag]:
             naive = [i for i in range(1, len(ints) + 1) if meets_bar(ints[i - 1], bars[i - 1], goods)]
-            assert _triggered(ints, bars, rule) == (goods, naive)
+            assert reaching(ints, bars, goods) == naive
 
     def test_one_pass_edge_rows(self):
         # m = 0, and rows whose rule goods are partly or wholly dummies: a
@@ -391,11 +403,12 @@ class TestIntegerTrigger:
         for rows, bars in (([[], [], []], [0, 1, 0]), ([[3, 2, 1]] * 3, [0, 4, 7])):
             for rule in RuleId:
                 goods = tuple(g for g in rule_good_ids(rule, 3) if g <= len(rows[0]))
+                assert _rule_goods(rows, rule) == goods
                 naive = [i for i in (1, 2, 3) if meets_bar(rows[i - 1], bars[i - 1], goods)]
-                assert _triggered(rows, bars, rule) == (goods, naive)
-        assert _triggered([[3, 2, 1]] * 3, [0, 4, 7], RuleId.R3) == ((), [1])
-        assert _triggered([[3, 2, 1]] * 3, [0, 4, 7], RuleId.R4) == ((1,), [1])
-        assert _triggered([[3, 2, 1]] * 3, [0, 4, 7], RuleId.R5) == ((1, 2), [1, 2])
+                assert reaching(rows, bars, goods) == naive
+        assert reaching([[3, 2, 1]] * 3, [0, 4, 7], ()) == [1]
+        assert reaching([[3, 2, 1]] * 3, [0, 4, 7], (1,)) == [1]
+        assert reaching([[3, 2, 1]] * 3, [0, 4, 7], (1, 2)) == [1, 2]
 
     def test_non_triggering_recipient_leaves_rows_untouched(self):
         # Agent 1 triggers R1 and agent 2 does not: awarding to agent 2 must
@@ -403,15 +416,10 @@ class TestIntegerTrigger:
         inst = make_instance([[1, "1/2", "1/2"], ["1/2", "1/2", "1/2"]])
         rows, bars = rule_rows(inst, ALPHA34)
         before = ([list(row) for row in rows], list(bars))
-        assert _triggered(rows, bars, RuleId.R1)[1] == [1]
+        assert reaching(rows, bars, _rule_goods(rows, RuleId.R1)) == [1]
         with pytest.raises(ContractViolation, match="not applicable to agent 2"):
             apply_rule(rows, bars, RuleId.R1, 2)
         assert (rows, bars) == before
-
-    def test_share_off_the_row_grid_rejected(self):
-        inst = make_instance([["1/2", "1/4"]])
-        with pytest.raises(ContractViolation, match="multiple of 1/4"):
-            rule_rows(inst, ALPHA34, [Fraction(1, 3)])
 
 
 class TestApplyRule:
@@ -509,20 +517,22 @@ class TestReduce:
 
     def test_survivor_share_bound(self, rng):
         # After reduction at slack eps, every survivor's share in the scaled
-        # residual instance stays at or above 1 - 4*eps.
+        # residual instance stays at or above 1 - 4*eps. Integer rows have
+        # shares of at least 1 scaled or not, so the same rows also run as
+        # thousandths, whose shares are far below 1 until scaled.
         checked = 0
         for eps in (EPS0, Fraction(1, 100), Fraction(3, 3836)):
             for _ in range(25):
                 n, m = rng.randint(2, 4), rng.randint(10, 14)
                 # mid-weight profiles: generic small draws tend to reduce to empty
-                inst = make_instance(
-                    [[rng.randint(5, 10) for _ in range(m)] for _ in range(n)]
-                )
-                red, _ = reduce(inst, eps)
-                for i in range(1, red.n + 1):
-                    assert mms(red, i, red.n).value >= 1 - 4 * eps
-                    checked += 1
-        assert checked > 10
+                rows = [[rng.randint(5, 10) for _ in range(m)] for _ in range(n)]
+                thousandths = [[f"{v}/1000" for v in row] for row in rows]
+                for inst in (make_instance(rows), make_instance(thousandths)):
+                    red, _ = reduce(inst, eps)
+                    for i in range(1, red.n + 1):
+                        assert mms(red, i, red.n).value >= 1 - 4 * eps
+                        checked += 1
+        assert checked > 20
 
     def test_rules_inapplicable_after_reduce(self, rng):
         for _ in range(20):
@@ -534,8 +544,9 @@ class TestReduce:
 
 def reference_reduce(inst, eps):
     """`reduce` as the definition reads: every agent's exact share by `mms`
-    first, bars from `rule_rows` and the rule picked by `first_rule`. Returns
-    the steps as (rule, agent, goods), the residual instance and the scaling."""
+    first, bars ceil((3/4 + eps) * share * L) (`share_rows`) and the rule
+    picked by `first_rule`. Returns the steps as (rule, agent, goods), the
+    residual instance and the scaling."""
     cur, omap = order(inst)
     agents, goods = list(range(1, inst.n + 1)), list(range(1, inst.m + 1))
     shares = [mms(cur, i, cur.n).value for i in range(1, cur.n + 1)]
@@ -545,7 +556,7 @@ def reference_reduce(inst, eps):
         cur = restrict(cur, agents, range(1, cur.m + 1))
         shares = [mms(cur, i, cur.n).value for i in range(1, cur.n + 1)]
     scaling = dict(zip(agents, shares))
-    rows, bars = rule_rows(cur, Fraction(3, 4) + eps, shares)
+    rows, bars = share_rows(cur, Fraction(3, 4) + eps, shares)
     scales = [(s * den).numerator for s, (_, den) in zip(shares, cur.int_rows)]
     while (fired := first_rule(rows, bars, bars, REDUCTION_RULES)) is not None:
         rule, agent = fired
