@@ -4,7 +4,10 @@ Reproducibility contract: `generate` is a pure function of its GenSpec. The
 random source is splitmix64 seeded with `spec.seed`; every family documents
 its draw order, and bounded integers come from 64-bit draws by rejection
 sampling, so corpora are bit-identical across platforms and easy to
-reproduce elsewhere.
+reproduce elsewhere. Bulk draws (`randints`, `shuffle`) compute the stream
+in blocks, many words at once, and a block equals the same draws made one at
+a time by `next_u64` and `below`: same values, same final state. Words leave
+a block in a fixed (little-endian) byte order, whatever the host's.
 
 The uniform and correlated families are generic stress sources. The
 heavy-pairs and heavy-singles families mix generic draws with structured
@@ -17,13 +20,29 @@ sharp cliff to fillers below 1/12.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
+from operator import add
 from pathlib import Path
 
-from .core import Instance, canonical_json, instance_to_json, int_row
+from .core import Instance, canonical_json, instance_to_json
 from .errors import DomainError
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+
+# Block draws keep word t of a block in bits [128t, 128t + 64) of one int
+# (a "lane"), so a whole block goes through each step of the splitmix64 mix
+# as one big-int operation. Lanes are 128 bits wide so that the product of a
+# 64-bit word and a 64-bit constant stays inside its lane; one pass holds at
+# most _LANES words, which bounds the ints' size.
+_LANES = 2048
+_ONES = int.from_bytes((1).to_bytes(16, "little") * _LANES, "little")  # 1 in every lane
+_LOWS = _ONES * _MASK64  # 2^64 - 1 in every lane
+_RAMP = int.from_bytes(  # t + 1 in lane t
+    b"".join(t.to_bytes(16, "little") for t in range(1, _LANES + 1)), "little"
+)
 
 FAMILIES = ("uniform", "correlated", "heavy-pairs", "heavy-singles")
 
@@ -35,17 +54,36 @@ class SplitMix64:
         self.state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
+        self.state = (self.state + _GAMMA) & _MASK64
         z = self.state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         return z ^ (z >> 31)
 
+    def _block(self, count: int) -> list[int]:
+        """The next `count` words of the stream, as `count` calls of
+        `next_u64` would return them. The state after t draws is
+        s + t * gamma mod 2^64, so lane t starts as the state of draw t + 1."""
+        words = []
+        while count > 0:
+            lanes = min(count, _LANES)
+            cut = (1 << 128 * lanes) - 1
+            low = _LOWS & cut
+            z = (self.state * (_ONES & cut) + _GAMMA * (_RAMP & cut)) & low
+            z = ((z ^ (z >> 30)) & low) * 0xBF58476D1CE4E5B9 & low
+            z = ((z ^ (z >> 27)) & low) * 0x94D049BB133111EB & low
+            z ^= z >> 31  # bits past 64 in a lane are dropped below
+            block = array("Q", z.to_bytes(16 * lanes, "little"))
+            if sys.byteorder == "big":
+                block.byteswap()
+            words += block[::2].tolist()
+            self.state = (self.state + lanes * _GAMMA) & _MASK64
+            count -= lanes
+        return words
+
     def below(self, k: int) -> int:
         """Uniform draw from [0, k), for 1 <= k <= 2^64."""
-        if not 1 <= k <= 1 << 64:
-            raise DomainError(f"below() requires 1 <= k <= 2^64, got {k}")
-        limit = (1 << 64) - ((1 << 64) % k)
+        limit = _limit(k)
         while True:
             r = self.next_u64()
             if r < limit:
@@ -57,12 +95,39 @@ class SplitMix64:
             raise DomainError(f"empty range [{lo}, {hi}]")
         return lo + self.below(hi - lo + 1)
 
+    def randints(self, lo: int, hi: int, count: int) -> list[int]:
+        """`count` successive `randint(lo, hi)` draws. Like `below`, it
+        rejects the words at or past the limit and draws again for the
+        shortfall, so the state advances by every word drawn."""
+        if hi < lo:
+            raise DomainError(f"empty range [{lo}, {hi}]")
+        k = hi - lo + 1
+        limit = _limit(k)
+        out = []
+        while len(out) < count:
+            out += [lo + w % k for w in self._block(count - len(out)) if w < limit]
+        return out
+
     def shuffle(self, xs: list) -> list:
-        """In-place Fisher-Yates, high index down."""
-        for i in range(len(xs) - 1, 0, -1):
-            j = self.below(i + 1)
-            xs[i], xs[j] = xs[j], xs[i]
+        """In-place Fisher-Yates, high index down; draws as `below(i + 1)`
+        does, a rejected word leaving i for the next one."""
+        i = len(xs) - 1
+        while i > 0:
+            for w in self._block(i):
+                k = i + 1
+                if w < _limit(k):
+                    j = w % k
+                    xs[i], xs[j] = xs[j], xs[i]
+                    i -= 1
         return xs
+
+
+def _limit(k: int) -> int:
+    """The rejection limit of a draw from [0, k): the largest multiple of k
+    at most 2^64; words at or past it are drawn again."""
+    if not 1 <= k <= 1 << 64:
+        raise DomainError(f"below() requires 1 <= k <= 2^64, got {k}")
+    return (1 << 64) - ((1 << 64) % k)
 
 
 @dataclass(frozen=True)
@@ -145,19 +210,23 @@ def _compose(rng: SplitMix64, total: int, lo: int, hi: int) -> list[int]:
 def _uniform_rows(rng, spec) -> tuple[int, list[list[int]]]:
     # Draws: n, m, then values row-major in [0, grid].
     n, m = _draw_nm(rng, spec)
-    return m, [[rng.randint(0, spec.grid) for _ in range(m)] for _ in range(n)]
+    return m, _rows(rng.randints(0, spec.grid, n * m), n, m)
+
+
+def _rows(values: list[int], n: int, m: int) -> list[list[int]]:
+    """n * m values, row-major, as n rows of m."""
+    return [values[i * m : i * m + m] for i in range(n)]
 
 
 def _correlated_rows(rng, spec) -> tuple[int, list[list[int]]]:
     # Draws: n, m, a base row, then per-agent noise row-major. Agents mostly
     # agree on rankings, which stresses the tie-heavy paths of the pipeline.
     n, m = _draw_nm(rng, spec)
-    base = [rng.randint(0, spec.grid) for _ in range(m)]
-    amp = max(1, spec.grid // 8)
-    return m, [
-        [min(spec.grid, max(0, base[j] + rng.randint(-amp, amp))) for j in range(m)]
-        for _ in range(n)
-    ]
+    grid = spec.grid
+    base = rng.randints(0, grid, m)
+    amp = max(1, grid // 8)
+    values = map(add, base * n, rng.randints(-amp, amp, n * m))
+    return m, _rows([0 if v < 0 else grid if v > grid else v for v in values], n, m)
 
 
 def _heavy_pairs_plain(rng, spec) -> tuple[int, list[list[int]]]:
@@ -171,8 +240,8 @@ def _heavy_pairs_plain(rng, spec) -> tuple[int, list[list[int]]]:
     light_hi = max(0, spec.grid // 4)
     rows = []
     for _ in range(n):
-        row = [rng.randint(lo, hi) for _ in range(heavy_count)]
-        row.extend(rng.randint(0, light_hi) for _ in range(m - heavy_count))
+        row = rng.randints(lo, hi, heavy_count)
+        row += rng.randints(0, light_hi, m - heavy_count)
         rows.append(row)
     return m, rows
 
@@ -217,7 +286,7 @@ def _heavy_singles_plain(rng, spec) -> tuple[int, list[list[int]]]:
     n, m = _draw_nm(rng, spec)
     lo = max(1, spec.grid // 4)
     hi = max(lo, spec.grid // 2)
-    return m, [[rng.randint(lo, hi) for _ in range(m)] for _ in range(n)]
+    return m, _rows(rng.randints(lo, hi, n * m), n, m)
 
 
 def _heavy_singles_halves(rng, spec, n: int) -> tuple[int, list[list[int]]]:
@@ -279,7 +348,8 @@ def generate(spec: GenSpec) -> Instance:
     The instance keeps the good count the family drew, also with no agents."""
     rng = SplitMix64(spec.seed)
     m, rows = _FAMILY_BUILDERS[spec.family](rng, spec)
-    return Instance(n=len(rows), m=m, int_rows=tuple(int_row((v, 1) for v in row) for row in rows))
+    # An all-integer row is its own numerators over L = 1, as `int_row` would give.
+    return Instance(n=len(rows), m=m, int_rows=tuple((tuple(row), 1) for row in rows))
 
 
 _GRID_CYCLE = (100, 100, 50, 5)

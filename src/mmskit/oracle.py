@@ -84,10 +84,8 @@ def _lpt_choice(weights: Sequence[int], d: int) -> tuple[int, list[int]]:
     index), kept as a min-heap of load * d + index, which orders as
     (load, index) does."""
     heap = list(range(d))
-    tops = [0] * len(weights)  # the heap entry each good joins
-    for t, w in enumerate(weights):
-        tops[t] = top = heap[0]
-        heapreplace(heap, top + w * d)
+    # heapreplace returns the entry it pops: the bundle each good joins.
+    tops = [heapreplace(heap, heap[0] + w * d) for w in weights]
     return heap[0] // d, [top % d for top in tops]
 
 

@@ -1,11 +1,20 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
-from mmskit import DomainError, classify_agents, instance_from_json, solve, to_delta_oni
+from mmskit import (
+    DomainError,
+    classify_agents,
+    instance_from_json,
+    instance_to_json,
+    solve,
+    to_delta_oni,
+)
 from mmskit.allocators import ALPHA_MAX, DELTA_DEFAULT
 from mmskit.gen import (
     FAMILIES,
@@ -18,6 +27,7 @@ from mmskit.gen import (
 )
 
 EPS = Fraction(3, 3836)
+GENERATED_SHA256 = "058a17c85b8c6db35897465a5da36d751cbe236b6ccfd3c07deff5d68f272563"
 
 
 def spec_for(family, seed=42, n=(2, 4), m=(2, 18), grid=100):
@@ -46,6 +56,30 @@ class TestSplitMix:
         rng.next_u64 = lambda: next(capped)
         with pytest.raises(DomainError, match="2\\^64"):
             rng.below(2**64 + 1)
+
+    @pytest.mark.parametrize("k", [1, 6, 10**9 + 1, 2**63 + 1, 2**64])
+    def test_block_draws_equal_scalar_draws(self, k):
+        # Block draws run 2048 words per pass; about half the words are
+        # rejected at k = 2^63 + 1, none at k = 2^64.
+        rnd = random.Random(k)
+        for count in (0, 1, 2047, 2048, 2049, 5000):
+            seed, lo = rnd.getrandbits(64), rnd.randint(-(2**70), 2**70)
+            block, scalar = SplitMix64(seed), SplitMix64(seed)
+            drawn = block.randints(lo, lo + k - 1, count)
+            assert drawn == [scalar.randint(lo, lo + k - 1) for _ in range(count)], (k, count)
+            assert block.state == scalar.state, (k, count)
+
+    def test_shuffle_equals_fisher_yates_over_below(self):
+        rnd = random.Random(28)
+        for length in range(41):
+            seed = rnd.getrandbits(64)
+            xs, ref = SplitMix64(seed), SplitMix64(seed)
+            expected = list(range(length))
+            for i in range(length - 1, 0, -1):
+                j = ref.below(i + 1)
+                expected[i], expected[j] = expected[j], expected[i]
+            assert xs.shuffle(list(range(length))) == expected, length
+            assert xs.state == ref.state, length
 
 
 class TestCompose:
@@ -101,6 +135,28 @@ class TestGenerate:
         for family in FAMILIES:
             inst = generate(spec_for(family, seed=1, n=(0, 0), m=(3, 3)))
             assert (inst.n, inst.m, inst.values) == (0, 3, ()), family
+
+    def test_no_agents_and_no_goods(self):
+        for family in FAMILIES:
+            inst = generate(spec_for(family, seed=1, n=(0, 0), m=(0, 0)))
+            assert (inst.n, inst.m, inst.values) == (0, 0, ()), family
+
+    def test_generated_bytes_match_golden_digest(self):
+        # Past the default corpus: every family at coarse, fine and 64-bit
+        # grids with n 10-20, m 30-80, one uniform spec of 3200 draws (more
+        # than one block pass), and one spec with no agents.
+        specs = [
+            GenSpec(seed=s, n_range=(10, 20), m_range=(30, 80), family=f, grid=g)
+            for f in FAMILIES
+            for g in (1, 2, 5, 100, 10**9, 2**63, 2**64 - 1)
+            for s in range(3)
+        ]
+        specs.append(GenSpec(seed=5, n_range=(40, 40), m_range=(80, 80), family="uniform", grid=100))
+        specs.append(GenSpec(seed=6, n_range=(0, 0), m_range=(3, 3), family="uniform", grid=100))
+        digest = hashlib.sha256()
+        for spec in specs:
+            digest.update(instance_to_json(generate(spec)).encode())
+        assert digest.hexdigest() == GENERATED_SHA256
 
     def test_spec_json_round_trip(self):
         spec = spec_for("correlated", seed=7)
