@@ -26,11 +26,12 @@ does no `Fraction` arithmetic of its own.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .core import Allocation, Bundle, Instance, exact, is_ordered, partitions, rat_to_text
+from .core import (
+    Allocation, Bundle, Instance, exact, is_ordered, partitions, rat_to_text, value_class,
+)
 from .errors import ContractViolation, DomainError, GuaranteeViolation
 from .transforms import (
     OrderMap,
@@ -52,7 +53,7 @@ ALPHA_MAX = Fraction(3, 4) + EPS_MAX
 DELTA_MMS1_MAX = Fraction(11, 1000)
 
 
-@dataclass(frozen=True)
+@value_class("n1", "n2", "n1_1", "n1_2")
 class AgentClassification:
     """Frozen agent classes of an ordered normalized instance.
 
@@ -61,20 +62,21 @@ class AgentClassification:
     `n1_2` the others. Membership is computed once and never updated.
     """
 
-    n1: frozenset[int]
-    n2: frozenset[int]
-    n1_1: frozenset[int]
-    n1_2: frozenset[int]
+    def __init__(
+        self, n1: frozenset[int], n2: frozenset[int], n1_1: frozenset[int], n1_2: frozenset[int]
+    ):
+        self.__dict__.update(n1=n1, n2=n2, n1_1=n1_1, n1_2=n1_2)
 
 
-@dataclass
+@value_class("bags", "pool", "satisfied", frozen=False)
 class BagState:
     """Working state of a bag-filling run: open bags, the pool of unbagged
     goods, and the bundles awarded so far."""
 
-    bags: dict[int, list[int]]
-    pool: list[int]
-    satisfied: dict[int, Bundle]
+    def __init__(self, bags: dict[int, list[int]], pool: list[int], satisfied: dict[int, Bundle]):
+        self.bags = bags
+        self.pool = pool
+        self.satisfied = satisfied
 
     def groups(self) -> tuple:
         """The bags, the pool and the awarded bundles, which must partition the goods."""
@@ -341,17 +343,23 @@ def approx_mms2(
     return alloc, counts
 
 
-@dataclass(frozen=True)
+@value_class("branch", "rule_counts", "oni", "oni_map", "trace", "alpha_inner")
 class SolveInfo:
-    """Diagnostics of one driver run: which allocator ran, how often each
-    rule fired, and the residual instance the allocator saw."""
+    """Diagnostics of one driver run: which allocator ran ("bagfill", "mms1"
+    or "mms2"), how often each rule fired, and the residual instance the
+    allocator saw."""
 
-    branch: str  # "bagfill" | "mms1" | "mms2"
-    rule_counts: dict[str, int]
-    oni: Instance
-    oni_map: OrderMap
-    trace: ReductionTrace
-    alpha_inner: Fraction
+    def __init__(
+        self,
+        branch: str,
+        rule_counts: dict[str, int],
+        oni: Instance,
+        oni_map: OrderMap,
+        trace: ReductionTrace,
+        alpha_inner: Fraction,
+    ):
+        self.__dict__.update(branch=branch, rule_counts=rule_counts, oni=oni, oni_map=oni_map,
+                             trace=trace, alpha_inner=alpha_inner)
 
 
 @lru_cache(maxsize=64)

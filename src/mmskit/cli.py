@@ -18,7 +18,6 @@ import re
 import sys
 import time
 from fractions import Fraction
-from multiprocessing import Pool
 from pathlib import Path
 
 from . import __version__
@@ -178,6 +177,8 @@ def _cmd_bench(args) -> int:
     solve(Instance(n=1, m=0, int_rows=(((), 1),)), alpha, delta=delta, node_budget=args.budget)
     payloads = [(str(manifest_path.parent), e, alpha, delta, args.budget) for e in entries]
     if args.jobs > 1:
+        from multiprocessing import Pool  # only here: every other command starts without it
+
         with Pool(args.jobs) as pool:
             rows = pool.map(_bench_entry, payloads)
     else:

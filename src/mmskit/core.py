@@ -13,6 +13,7 @@ ordered instance. Rules used across the toolkit live here only:
 - `exact`, the one gate on thresholds (alpha, eps, delta): int or Fraction.
 - `partitions` (the covers-exactly-once check) and `canonical_json` (the
   bytes of every JSON file the toolkit writes).
+- `value_class`, the ==, hash, repr and frozenness of every value class.
 """
 
 from __future__ import annotations
@@ -20,11 +21,11 @@ from __future__ import annotations
 import json
 import re
 import sys
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from operator import attrgetter
 
 from .errors import BoundsError, DomainError
 
@@ -142,22 +143,57 @@ def partitions(groups: Iterable[Iterable[int]], ground: Iterable[int]) -> bool:
     return len(held) == len(distinct) and distinct == set(ground)
 
 
-@dataclass(frozen=True)
+def _frozen(self, name, value=None):
+    raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+
+def value_class(*fields: str, frozen: bool = True):
+    """Class decorator for a value class whose `__init__` stores the listed
+    fields, its parameters in order, in the instance `__dict__`. It adds
+    field-wise `==` and a repr of those fields, and for a frozen class a hash
+    of them and an `AttributeError` on assigning or deleting any attribute;
+    an unfrozen class is unhashable. Methods the class defines itself stay;
+    one that defines `__eq__` is unhashable. Pickling and deep copies restore
+    the `__dict__` directly, with the lazy fields `cached_property` keeps
+    there."""
+
+    key = attrgetter(*fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return key(self) == key(other)
+
+    def __repr__(self):
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in fields)
+        return f"{self.__class__.__qualname__}({shown})"
+
+    methods = {"__eq__": __eq__, "__repr__": __repr__, "__hash__": None}
+    if frozen:
+        methods.update(__hash__=lambda self: hash(key(self)), __setattr__=_frozen, __delattr__=_frozen)
+
+    def decorate(cls):
+        for name, method in methods.items():
+            if name not in cls.__dict__:
+                setattr(cls, name, method)
+        return cls
+
+    return decorate
+
+
+@value_class("goods")
 class Bundle:
     """A set of good indices (1-based), stored sorted and duplicate-free."""
 
-    goods: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        g = self.goods
-        if not isinstance(g, tuple):
-            object.__setattr__(self, "goods", tuple(g))
-            g = self.goods
-        for k, x in enumerate(g):
+    def __init__(self, goods: tuple[int, ...] = ()):
+        if not isinstance(goods, tuple):
+            goods = tuple(goods)
+        for k, x in enumerate(goods):
             if not isinstance(x, int) or isinstance(x, bool) or x < 1:
                 raise DomainError(f"good indices must be integers >= 1, got {x!r}")
-            if k > 0 and g[k - 1] >= x:
+            if k > 0 and goods[k - 1] >= x:
                 raise DomainError("bundle goods must be strictly increasing; use Bundle.of()")
+        self.__dict__["goods"] = goods
 
     @staticmethod
     def of(goods: Iterable[int]) -> "Bundle":
@@ -176,16 +212,14 @@ class Bundle:
         return Bundle.of([*self.goods, *other])
 
 
-@dataclass(frozen=True)
+@value_class("bundles", "unassigned")
 class Allocation:
     """Per-agent bundles plus an explicit pool of unassigned goods."""
 
-    bundles: tuple[Bundle, ...]
-    unassigned: Bundle = Bundle()
-
-    def __post_init__(self):
-        if not isinstance(self.bundles, tuple):
-            object.__setattr__(self, "bundles", tuple(self.bundles))
+    def __init__(self, bundles: tuple[Bundle, ...], unassigned: Bundle = Bundle()):
+        if not isinstance(bundles, tuple):
+            bundles = tuple(bundles)
+        self.__dict__.update(bundles=bundles, unassigned=unassigned)
 
     @property
     def n_agents(self) -> int:
@@ -197,29 +231,25 @@ class Allocation:
             raise DomainError(f"allocation does not cover [1, {m}] exactly once")
 
 
-@dataclass(frozen=True)
+@value_class("n", "m", "int_rows")
 class Instance:
     """n agents, m goods and the integer view of the valuation matrix: per
     agent, (numerators, L) in lowest terms, as `int_row` builds it. Equal
     matrices give equal views, hence equal instances with equal hashes."""
 
-    n: int
-    m: int
-    int_rows: tuple[tuple[tuple[int, ...], int], ...]
-
-    def __post_init__(self):
+    def __init__(self, n: int, m: int, int_rows: tuple[tuple[tuple[int, ...], int], ...]):
         try:
-            view = tuple((tuple(nums), den) for nums, den in self.int_rows)
+            view = tuple((tuple(nums), den) for nums, den in int_rows)
         except (TypeError, ValueError):
             raise DomainError("int_rows must be (numerators, L) pairs") from None
-        object.__setattr__(self, "int_rows", view)
-        if min(self.n, self.m) < 0 or len(view) != self.n or any(len(a) != self.m for a, _ in view):
-            raise DomainError(f"value matrix shape does not match n={self.n}, m={self.m}")
+        if min(n, m) < 0 or len(view) != n or any(len(a) != m for a, _ in view):
+            raise DomainError(f"value matrix shape does not match n={n}, m={m}")
         for nums, den in view:
             if (type(den) is not int or not set(map(type, nums)) <= {int} or den < 1
                     or min(nums, default=0) < 0 or gcd(den, *nums) != 1):
                 raise DomainError(f"values must be nonnegative ints over an int L >= 1 in "
                                   f"lowest terms, got {nums!r} over {den!r}")
+        self.__dict__.update(n=n, m=m, int_rows=view)
 
     @staticmethod
     def from_rows(rows: Iterable[Iterable[int | str | Fraction]]) -> "Instance":

@@ -22,11 +22,9 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass
 from operator import add
-from pathlib import Path
 
-from .core import Instance, canonical_json, instance_to_json
+from .core import Instance, canonical_json, instance_to_json, value_class
 from .errors import DomainError
 
 _MASK64 = (1 << 64) - 1
@@ -130,29 +128,24 @@ def _limit(k: int) -> int:
     return (1 << 64) - ((1 << 64) % k)
 
 
-@dataclass(frozen=True)
+@value_class("seed", "n_range", "m_range", "family", "grid")
 class GenSpec:
     """Recipe for one instance; identical specs generate identical instances."""
 
-    seed: int
-    n_range: tuple[int, int]
-    m_range: tuple[int, int]
-    family: str
-    grid: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "n_range", tuple(self.n_range))
-        object.__setattr__(self, "m_range", tuple(self.m_range))
-        if self.family not in FAMILIES:
-            raise DomainError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
-        if not 1 <= self.grid <= _MASK64:  # values are drawn from grid + 1 <= 2^64 outcomes
-            raise DomainError(f"grid must be in [1, 2^64 - 1], got {self.grid}")
-        n_lo, n_hi = self.n_range
-        m_lo, m_hi = self.m_range
+    def __init__(self, seed: int, n_range: tuple[int, int], m_range: tuple[int, int],
+                 family: str, grid: int):
+        n_range, m_range = tuple(n_range), tuple(m_range)
+        if family not in FAMILIES:
+            raise DomainError(f"unknown family {family!r}; expected one of {FAMILIES}")
+        if not 1 <= grid <= _MASK64:  # values are drawn from grid + 1 <= 2^64 outcomes
+            raise DomainError(f"grid must be in [1, 2^64 - 1], got {grid}")
+        n_lo, n_hi = n_range
+        m_lo, m_hi = m_range
         if n_lo < 0 or n_hi < n_lo:
-            raise DomainError(f"empty agent range {self.n_range}")
+            raise DomainError(f"empty agent range {n_range}")
         if m_hi < m_lo:
-            raise DomainError(f"empty good range {self.m_range}")
+            raise DomainError(f"empty good range {m_range}")
+        self.__dict__.update(seed=seed, n_range=n_range, m_range=m_range, family=family, grid=grid)
 
     def to_jsonable(self) -> dict:
         return {
@@ -376,6 +369,8 @@ def default_corpus(count: int = 1000, base_seed: int = 20260801) -> tuple[GenSpe
 def write_corpus(specs, directory: str | Path) -> Path:
     """Write instance files plus a manifest listing specs and paths; returns
     the manifest path. Paths in the manifest are relative to its directory."""
+    from pathlib import Path  # only here: `import mmskit` starts without it
+
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     entries = []

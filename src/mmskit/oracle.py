@@ -34,14 +34,13 @@ callers that only compare it with a bar.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterator, Sequence
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from heapq import heapreplace
 from itertools import product, zip_longest
-from typing import Callable, Iterator, Sequence
 
-from .core import Bundle, Instance, scaled_ranking
+from .core import Bundle, Instance, scaled_ranking, value_class
 from .errors import BoundsError, DomainError, OracleBudgetExceeded
 
 DEFAULT_NODE_BUDGET = 50_000_000
@@ -53,13 +52,13 @@ _EXHAUSTIVE_VECTOR_CAP = 50_000_000
 _BLOCK = 1 << 8
 
 
-@dataclass(frozen=True, eq=False)
+@value_class("value")
 class MmsResult:
     """Exact optimum plus one witness partition attaining it, built by
     `partition` on first read; equal when value and witness are."""
 
-    value: Fraction
-    partition: Callable[[], tuple[Bundle, ...]] = field(repr=False)
+    def __init__(self, value: Fraction, partition: Callable[[], tuple[Bundle, ...]]):
+        self.__dict__.update(value=value, partition=partition)
 
     @cached_property
     def witness(self) -> tuple[Bundle, ...]:

@@ -39,15 +39,16 @@ removed agents whose shares no decision needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable, Collection, Iterable, Sequence
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import compress, repeat
 from operator import ge, itemgetter
-from typing import Callable, Collection, Iterable, Sequence
 
-from .core import Allocation, Bundle, Instance, exact, int_row, rat_to_jsonable, scaled_ranking
+from .core import (
+    Allocation, Bundle, Instance, exact, int_row, rat_to_jsonable, scaled_ranking, value_class,
+)
 from .errors import BoundsError, ContractViolation, DomainError
 from .oracle import bracket, checked_budget, mms
 
@@ -72,15 +73,15 @@ BAG_AWARD = "BagAward"
 OrderMap = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
+@value_class("rule", "agent", "goods", "threshold")
 class TraceStep:
-    rule: RuleId | str
-    agent: int  # original agent id
-    goods: Bundle  # ordered-view good ids awarded with the step
-    threshold: Fraction
+    """One award: `agent` is an original agent id, `goods` ordered-view good ids."""
+
+    def __init__(self, rule: RuleId | str, agent: int, goods: Bundle, threshold: Fraction):
+        self.__dict__.update(rule=rule, agent=agent, goods=goods, threshold=threshold)
 
 
-@dataclass
+@value_class("order_map", "n_original", "m_original", "steps", frozen=False)
 class ReductionTrace:
     """Everything needed to lift an allocation of the residual instance back.
 
@@ -94,11 +95,19 @@ class ReductionTrace:
     `reduce` was given, so it may raise OracleBudgetExceeded).
     """
 
-    order_map: OrderMap
-    n_original: int
-    m_original: int
-    steps: list[TraceStep] = field(default_factory=list)
-    shares: Callable[[], dict[int, Fraction]] = field(default=dict, repr=False, compare=False)
+    def __init__(
+        self,
+        order_map: OrderMap,
+        n_original: int,
+        m_original: int,
+        steps: list[TraceStep] | None = None,
+        shares: Callable[[], dict[int, Fraction]] = dict,
+    ):
+        self.order_map = order_map
+        self.n_original = n_original
+        self.m_original = m_original
+        self.steps = [] if steps is None else steps
+        self.shares = shares
 
     @cached_property
     def scaling(self) -> dict[int, Fraction]:

@@ -12,31 +12,29 @@ does not rest on the engine it checks. Reports are written with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Allocation, Instance, canonical_json, exact, is_ordered, rat_to_text, value
+from .core import (
+    Allocation, Instance, canonical_json, exact, is_ordered, rat_to_text, value, value_class,
+)
 from .errors import ContractViolation, DomainError
 from .oracle import mms
 from .allocators import classify_agents
 from .transforms import REDUCTION_RULES, RuleId, first_rule, rule_rows
 
 
-@dataclass(frozen=True)
+@value_class("agent", "mms", "received", "ok")
 class AgentCheck:
-    agent: int
-    mms: Fraction
-    received: Fraction
-    ok: bool
+    def __init__(self, agent: int, mms: Fraction, received: Fraction, ok: bool):
+        self.__dict__.update(agent=agent, mms=mms, received=received, ok=ok)
 
 
-@dataclass(frozen=True)
+@value_class("alpha", "agents", "passed")
 class VerificationReport:
     """Per-agent exact ratios against a threshold; passes iff everyone clears it."""
 
-    alpha: Fraction
-    agents: tuple[AgentCheck, ...]
-    passed: bool
+    def __init__(self, alpha: Fraction, agents: tuple[AgentCheck, ...], passed: bool):
+        self.__dict__.update(alpha=alpha, agents=agents, passed=passed)
 
     def to_jsonable(self) -> dict:
         return {
@@ -89,10 +87,10 @@ def _fired_rule(inst: Instance, delta: Fraction) -> tuple[RuleId, int] | None:
     return first_rule(rows, bars, bars, REDUCTION_RULES)
 
 
-@dataclass(frozen=True)
+@value_class("ok", "failure")
 class OniReport:
-    ok: bool
-    failure: str | None = None
+    def __init__(self, ok: bool, failure: str | None = None):
+        self.__dict__.update(ok=ok, failure=failure)
 
 
 def check_oni(inst: Instance, delta: Fraction, *, node_budget: int | None = None) -> OniReport:
@@ -111,7 +109,7 @@ def check_oni(inst: Instance, delta: Fraction, *, node_budget: int | None = None
     return OniReport(True, None)
 
 
-@dataclass(frozen=True)
+@value_class("pair_bound_ok", "irreducible", "min_goods_ok", "big_bag_tail_ok", "violations")
 class StructuralReport:
     """Outcome of the structural checks on an ordered normalized instance.
 
@@ -122,11 +120,17 @@ class StructuralReport:
     with a starting bag above 1 values good 2n+1 below 1/12 + delta.
     """
 
-    pair_bound_ok: bool
-    irreducible: bool
-    min_goods_ok: bool | None
-    big_bag_tail_ok: bool | None
-    violations: tuple[str, ...]
+    def __init__(
+        self,
+        pair_bound_ok: bool,
+        irreducible: bool,
+        min_goods_ok: bool | None,
+        big_bag_tail_ok: bool | None,
+        violations: tuple[str, ...],
+    ):
+        self.__dict__.update(pair_bound_ok=pair_bound_ok, irreducible=irreducible,
+                             min_goods_ok=min_goods_ok, big_bag_tail_ok=big_bag_tail_ok,
+                             violations=violations)
 
     @property
     def ok(self) -> bool:

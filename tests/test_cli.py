@@ -30,6 +30,22 @@ def write_instance(tmp_path, rows, name="inst.json"):
     return path
 
 
+class TestStartup:
+    @pytest.mark.parametrize("module, unused", [
+        ("mmskit", {"dataclasses", "multiprocessing"}),
+        ("mmskit.cli", {"multiprocessing"}),
+    ])
+    def test_import_loads_no_unused_module(self, module, unused):
+        # A fresh interpreter without site (-S) holds only what the import
+        # itself loads.
+        src = str(Path(mmskit.__file__).resolve().parents[1])
+        code = f"import sys; sys.path.insert(0, {src!r}); import {module}; print(*sys.modules)"
+        done = subprocess.run([sys.executable, "-S", "-c", code],
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert not unused & set(done.stdout.split())
+
+
 class TestGenSolveVerifyPipeline:
     def test_round_trip_passes(self, tmp_path):
         inst = tmp_path / "inst.json"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import inspect
 import json
 import pickle
@@ -26,8 +27,12 @@ from mmskit import (
     rat,
     value,
 )
+from mmskit import oracle, transforms
 from mmskit.core import _jsonable_to_pair, int_row, partitions, scaled_ranking
-from mmskit.transforms import restrict
+from mmskit.gen import GenSpec
+from mmskit.oracle import mms
+from mmskit.transforms import RuleId, TraceStep, restrict
+from mmskit.verify import AgentCheck, OniReport
 from conftest import HALF, make_instance, random_instance
 
 
@@ -161,6 +166,71 @@ class TestInstanceConstruction:
     def test_empty_instances_legal(self):
         assert Instance(n=0, m=0, int_rows=()).m == 0
         assert Instance(n=0, m=3, int_rows=()).m == 3
+
+
+# Each value class, a factory that builds one of it afresh (two calls give
+# equal objects), and one of its fields.
+VALUE_OBJECTS = {
+    "Bundle": (lambda: Bundle((1, 3)), "goods"),
+    "Allocation": (lambda: Allocation((Bundle((2,)), Bundle((1, 3))), Bundle((4,))), "unassigned"),
+    "Instance": (lambda: Instance.from_rows([[1, "1/2"], [3, 4]]), "int_rows"),
+    "GenSpec": (lambda: GenSpec(seed=1, n_range=(2, 3), m_range=(4, 6), family="uniform", grid=10),
+                "grid"),
+    "TraceStep": (lambda: TraceStep(RuleId.R2, 2, Bundle((3, 4, 5)), Fraction(3, 4)), "agent"),
+    "AgentCheck": (lambda: AgentCheck(agent=1, mms=HALF, received=Fraction(3, 4), ok=True), "ok"),
+    "OniReport": (lambda: OniReport(False, "not ordered"), "failure"),
+}
+
+
+class TestValueObjects:
+    @pytest.mark.parametrize("name", list(VALUE_OBJECTS))
+    def test_semantics(self, name):
+        make, field = VALUE_OBJECTS[name]
+        a, b = make(), make()
+        assert a is not b and a == b and hash(a) == hash(b)
+        with pytest.raises(AttributeError):
+            setattr(a, field, getattr(b, field))
+        with pytest.raises(AttributeError):
+            delattr(a, field)
+        assert a == b
+        for twin in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a)):
+            assert twin == a and hash(twin) == hash(a)
+            with pytest.raises(AttributeError):
+                setattr(twin, field, getattr(b, field))
+
+    def test_instance_values_built_once(self):
+        inst = VALUE_OBJECTS["Instance"][0]()
+        assert inst.values is inst.values == ((Fraction(1), HALF), (Fraction(3), Fraction(4)))
+
+    def test_witness_built_once(self, monkeypatch):
+        res = mms(Instance.from_rows([[3, 2, 2, 1]]), 1, 2)
+        first = res.witness
+        monkeypatch.setattr(oracle, "_bundles", _no_call)
+        assert res.witness is first
+
+    def test_scaling_built_once(self, monkeypatch):
+        # Reading `scaling` first searches for the shares of the two agents
+        # that rules removed without needing them; the second read searches
+        # for nothing.
+        made = []
+
+        def counted(*args, **kwargs):
+            made.append(1)
+            return search(*args, **kwargs)
+
+        search = transforms.mms
+        monkeypatch.setattr(transforms, "mms", counted)
+        inst = Instance.from_rows([[36, 29, 35, 0, 8, 0, 9], [31, 29, 36, 5, 7, 6, 10]])
+        _, trace = transforms.reduce(inst, Fraction(3, 3836))
+        before = len(made)
+        first = trace.scaling
+        assert len(made) == before + 2
+        monkeypatch.setattr(transforms, "mms", _no_call)
+        assert trace.scaling is first
+
+
+def _no_call(*args, **kwargs):
+    raise AssertionError("a lazy field was built twice")
 
 
 _DENOMINATORS = st.one_of(
