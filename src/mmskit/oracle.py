@@ -33,7 +33,7 @@ callers that only compare it with a bar.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_right, insort
 from collections.abc import Callable, Iterator, Sequence
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -95,11 +95,6 @@ class _Budget:
         self.nodes = 0
         self.limit = limit
 
-    def spend(self) -> None:
-        self.nodes += 1
-        if self.nodes > self.limit:
-            raise OracleBudgetExceeded(self.nodes, self.limit)
-
 
 _MEMO_CAP = 300_000
 # Subset-sum tables hold one bit per load up to the total, and each waste
@@ -138,6 +133,13 @@ def _cover_assignment(
     through the exact fill, so the branch is exhaustive. Among equal loads
     the lowest bundle index takes the good.
 
+    Per node, the sum of the short loads is carried down the recursion, the
+    distinct loads are read off the sorted list, the budget is charged
+    inline, and a placement that closes a bundle past the target by more
+    than the slack (remaining weight less shortfall) is charged without a
+    call, since the child would fail its first test. The nodes, their order
+    and the first cover are those of a search that recomputes all of it.
+
     Waste bound (bin completion; Korf, IJCAI 2009): with `reach` from
     `_subset_sums(nz)`, a short bundle with deficit k must receive at least
     the least subset sum of the remaining goods that is >= k, so it wastes
@@ -155,22 +157,35 @@ def _cover_assignment(
     short = [l for l in loads if l < target]  # the loads below the target, ascending
     choice = [-1] * s
     failed: set[tuple[int, ...]] = set()
+    limit = budget.limit
 
-    def dfs(t: int) -> bool:
-        if not short:
+    # `have` is sum(short), carried down the recursion.
+    # choice[t] is -1 on entry to dfs(t): a failed dfs resets it on leaving.
+    def dfs(t: int, have: int) -> bool:
+        k = len(short)
+        if not k:
             return True
-        shortfall = target * len(short) - sum(short)
-        if t == s or shortfall > suffix[t]:
+        shortfall = target * k - have
+        rest = suffix[t]
+        slack = rest - shortfall
+        if slack < 0:  # also ends every branch at t == s, where rest is 0
             return False
         w = nz[t]
-        if sum([(target - l + w - 1) // w for l in short]) > s - t:
-            return False
+        left = s - t
+        # The ceil-count prune, summed only when its bound from the shortfall,
+        # (shortfall + k * (w - 1)) // w, exceeds the goods left.
+        if shortfall + k * (w - 1) >= (left + 1) * w:
+            need = 0
+            for l in short:
+                need += (target - l + w - 1) // w
+            if need > left:
+                return False
         key = (t, *short)
         if key in failed:
             return False
-        waste = 0
         if reach is not None:
             sums = reach[t]
+            waste = 0
             last = -1
             for l in short:
                 if l != last:  # equal loads are adjacent and waste alike
@@ -178,32 +193,51 @@ def _cover_assignment(
                     over = (x & -x).bit_length() - 1
                     last = l
                 waste += over
-        if waste > suffix[t] - shortfall:
-            candidates = []  # the waste bound: no cover below this node
-        elif target - w in short:
-            candidates = [loads.index(target - w)]
-        else:
-            candidates = [loads.index(l) for l in sorted(set(short), reverse=True)]
-        for j in candidates:
-            budget.spend()
-            l = loads[j]
-            loads[j] = l + w
-            del short[bisect_left(short, l)]
-            if l + w < target:
+            if waste > slack:  # the waste bound: no cover below this node
+                if len(failed) < _MEMO_CAP:
+                    failed.add(key)
+                return False
+        gap = target - w
+        # An exact fill is tried alone; else each distinct load, heaviest first.
+        tried = (gap,) if gap in short else short[::-1]
+        last = -1
+        for l in tried:
+            if l == last:
+                continue
+            last = l
+            nodes = budget.nodes + 1
+            budget.nodes = nodes
+            if nodes > limit:
+                raise OracleBudgetExceeded(nodes, limit)
+            if l < gap:
+                j = loads.index(l)
+                loads[j] = l + w
+                short.remove(l)
                 insort(short, l + w)
-            choice[t] = j
-            if dfs(t + 1):
-                return True
-            if l + w < target:
-                del short[bisect_left(short, l + w)]
-            insort(short, l)
-            loads[j] = l
+                choice[t] = j
+                if dfs(t + 1, have + w):
+                    return True
+                short.remove(l + w)
+                insort(short, l)
+                loads[j] = l
+            # A bundle that closes past the target by more than the slack
+            # leaves the child a negative slack: its first test fails, so
+            # the call is skipped (the node is still charged).
+            elif l - gap <= slack:
+                j = loads.index(l)
+                loads[j] = l + w
+                short.remove(l)
+                choice[t] = j
+                if dfs(t + 1, have - l):
+                    return True
+                insort(short, l)
+                loads[j] = l
         choice[t] = -1
         if len(failed) < _MEMO_CAP:
             failed.add(key)
         return False
 
-    return choice if dfs(0) else None
+    return choice if dfs(0, 0) else None
 
 
 def _top_k_bound(nz: Sequence[int], d: int) -> int:

@@ -3,11 +3,14 @@
 Every check here recomputes what it needs from scratch with the exact
 oracle; nothing is trusted from the pipeline that produced the input. The
 oracle keeps no share between calls, so no share a check reads was computed
-by an earlier solve in the same process. `check_alpha_mms` compares exact
-rationals, `value` of the received bundle against alpha * share, and never
-reads the rule engine's rows and bars the solver decides on, so the verdict
-does not rest on the engine it checks. Reports are written with
-`core.canonical_json`, the encoding of every toolkit file.
+by an earlier solve in the same process. `check_alpha_mms` decides whether
+`value` of the received bundle reaches alpha * share by cross-multiplying the
+integer numerators and denominators of the three Fractions (every
+denominator is positive, so the verdict is that of the Fraction comparison),
+keeps the Fractions for the report, and never reads the rule engine's rows
+and bars the solver decides on, so the verdict does not rest on the engine
+it checks. Reports are written with `core.canonical_json`, the encoding of
+every toolkit file.
 """
 
 from __future__ import annotations
@@ -58,17 +61,21 @@ def check_alpha_mms(
     node_budget: int | None = None,
 ) -> VerificationReport:
     """Exactly compare each agent's received value against alpha times her
-    maximin share. The allocation must be well-formed over the instance."""
+    maximin share, by cross-multiplying the integer numerators and
+    denominators of the three Fractions. The allocation must be well-formed
+    over the instance."""
     alpha = exact(alpha, "alpha")
     if alloc.n_agents != inst.n:
         raise DomainError(f"allocation has {alloc.n_agents} agents, instance has {inst.n}")
     alloc.validate(inst.m)
     checks = []
     passed = True
+    a, b = alpha.numerator, alpha.denominator
     for i in range(1, inst.n + 1):
         share = mms(inst, i, inst.n, node_budget=node_budget).value
         received = value(inst, i, alloc.bundles[i - 1])
-        ok = received >= alpha * share
+        # received >= alpha * share over the positive common denominator.
+        ok = received.numerator * b * share.denominator >= a * share.numerator * received.denominator
         passed = passed and ok
         checks.append(AgentCheck(agent=i, mms=share, received=received, ok=ok))
     return VerificationReport(alpha=alpha, agents=tuple(checks), passed=passed)

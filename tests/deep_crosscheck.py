@@ -15,8 +15,10 @@ come from the greedy seed, the local search or a probe's cover. The value
 times the row's L must also lie in the `oracle.bracket` bounds every search
 and every rule decision of `reduce` starts from. Prints one
 line per d, with the seconds spent in `mms` and in `mms_exhaustive` so that
-a slowdown in either shows in the log, and exits 1 on the first
-disagreement.
+a slowdown in either shows in the log, and the covering-search nodes the
+`mms` calls spent, summed over every search budget; exits 1 on the first
+disagreement, or when a node sum differs from `NODES`, so that a change to
+the covering search's tree fails here too.
 
     PYTHONPATH=src python tests/deep_crosscheck.py
 """
@@ -26,7 +28,7 @@ from __future__ import annotations
 import sys
 import time
 
-from mmskit import Instance, mms, mms_exhaustive, value
+from mmskit import Instance, mms, mms_exhaustive, oracle, value
 from mmskit.core import partitions
 from mmskit.gen import SplitMix64
 from mmskit.oracle import _EXHAUSTIVE_VECTOR_CAP, EXHAUSTIVE_SUBSET_CAP, bracket
@@ -34,11 +36,30 @@ from mmskit.oracle import _EXHAUSTIVE_VECTOR_CAP, EXHAUSTIVE_SUBSET_CAP, bracket
 SEED = 0x5EED0DEE
 # (grid, rows per shape)
 GRIDS = ((20, 300), (100, 300), (1000, 300), (10**6, 5), (2**60, 5), (2**64 - 1, 5))
+# Covering-search nodes of all the `mms` calls at each d: a pruning test
+# that stops cutting, a branching order that moves or a bound that stops
+# tightening changes them.
+NODES = {2: 41_912, 3: 112_244, 4: 111_938, 5: 49_924, 6: 3_584}
+
+
+def record_budgets() -> list:
+    """Make every search budget record itself in the returned list."""
+    made = []
+
+    class Counted(oracle._Budget):
+        def __init__(self, limit):
+            super().__init__(limit)
+            made.append(self)
+
+    oracle._Budget = Counted
+    return made
 
 
 def main() -> int:
     rng = SplitMix64(SEED)
+    budgets = record_budgets()
     for d in (2, 3, 4, 5, 6):
+        budgets.clear()
         t0 = time.perf_counter()
         in_mms = in_reference = 0.0
         m_max = max(m for m in range(EXHAUSTIVE_SUBSET_CAP + 1) if d**m <= _EXHAUSTIVE_VECTOR_CAP)
@@ -66,8 +87,12 @@ def main() -> int:
                               f"d-bundle partitions {split}, bracket {(lo, hi)} over L = {scale}")
                         return 1
                     checked += 1
+        nodes = sum(b.nodes for b in budgets)
         print(f"d={d}: m {d + 2}-{m_max}, {checked} rows agree in {time.perf_counter() - t0:.1f}s "
-              f"(mms {in_mms:.1f}s, mms_exhaustive {in_reference:.1f}s)")
+              f"(mms {in_mms:.1f}s, mms_exhaustive {in_reference:.1f}s), {nodes} search nodes")
+        if nodes != NODES[d]:
+            print(f"d={d}: {nodes} search nodes, expected {NODES[d]}")
+            return 1
     return 0
 
 

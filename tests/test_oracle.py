@@ -4,7 +4,7 @@ import os
 import random
 import subprocess
 import sys
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right, insort
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -30,6 +30,7 @@ from mmskit import (
 from mmskit import oracle
 from mmskit.gen import default_corpus, generate
 from mmskit.oracle import (
+    _MEMO_CAP,
     DEFAULT_NODE_BUDGET,
     _Budget,
     _canonical_prefixes,
@@ -419,6 +420,119 @@ class TestWasteBound:
         res = mms(big, 1, 3)
         assert res.value == c * mms(make_instance([row]), 1, 3).value
         assert_valid_witness(big, 1, 3, res)
+
+
+class SpendingBudget(_Budget):
+    """The budget `spec_cover_assignment` charges: `spend` counts one node
+    and raises past the limit."""
+
+    __slots__ = ()
+
+    def spend(self) -> None:
+        self.nodes += 1
+        if self.nodes > self.limit:
+            raise OracleBudgetExceeded(self.nodes, self.limit)
+
+
+def spec_cover_assignment(
+    nz, d: int, target: int, budget: SpendingBudget, reach: list[int] | None = None
+) -> list[int] | None:
+    """The covering search as it was written before its per-node state was
+    carried down the recursion: it re-sums the short loads and lists their
+    distinct values at every node. The spec of the tree `_cover_assignment`
+    walks: same nodes, same order, same first cover or refutation."""
+    s = len(nz)
+    suffix = [0] * (s + 1)
+    for t in range(s - 1, -1, -1):
+        suffix[t] = suffix[t + 1] + nz[t]
+
+    loads = [0] * d
+    short = [l for l in loads if l < target]  # the loads below the target, ascending
+    choice = [-1] * s
+    failed: set[tuple[int, ...]] = set()
+
+    def dfs(t: int) -> bool:
+        if not short:
+            return True
+        shortfall = target * len(short) - sum(short)
+        if t == s or shortfall > suffix[t]:
+            return False
+        w = nz[t]
+        if sum([(target - l + w - 1) // w for l in short]) > s - t:
+            return False
+        key = (t, *short)
+        if key in failed:
+            return False
+        waste = 0
+        if reach is not None:
+            sums = reach[t]
+            last = -1
+            for l in short:
+                if l != last:  # equal loads are adjacent and waste alike
+                    x = sums >> (target - l)
+                    over = (x & -x).bit_length() - 1
+                    last = l
+                waste += over
+        if waste > suffix[t] - shortfall:
+            candidates = []  # the waste bound: no cover below this node
+        elif target - w in short:
+            candidates = [loads.index(target - w)]
+        else:
+            candidates = [loads.index(l) for l in sorted(set(short), reverse=True)]
+        for j in candidates:
+            budget.spend()
+            l = loads[j]
+            loads[j] = l + w
+            del short[bisect_left(short, l)]
+            if l + w < target:
+                insort(short, l + w)
+            choice[t] = j
+            if dfs(t + 1):
+                return True
+            if l + w < target:
+                del short[bisect_left(short, l + w)]
+            insort(short, l)
+            loads[j] = l
+        choice[t] = -1
+        if len(failed) < _MEMO_CAP:
+            failed.add(key)
+        return False
+
+    return choice if dfs(0) else None
+
+
+class TestCoverKernel:
+    def test_same_tree_as_the_spec(self, rng):
+        # Every probe from the greedy seed to just past total // d, with and
+        # without the subset-sum table, must return the spec's list (or
+        # None) after the same number of nodes; a budget that runs out
+        # halfway through the spec's tree must run out in the kernel too.
+        covers = refutations = cut = 0
+        for k in range(120):
+            d = 2 + k % 6
+            grid = (3, 20, 100, 1000)[k // 6 % 4]
+            goods = rng.randint(d, 16)
+            nz = sorted((rng.randint(1, grid) for _ in range(goods)), reverse=True)
+            for reach in (_subset_sums(nz), None):
+                for target in range(_lpt_choice(nz, d)[0], sum(nz) // d + 2):
+                    spec, kernel = SpendingBudget(DEFAULT_NODE_BUDGET), _Budget(DEFAULT_NODE_BUDGET)
+                    expected = spec_cover_assignment(nz, d, target, spec, reach)
+                    assert _cover_assignment(nz, d, target, kernel, reach) == expected, (nz, d, target)
+                    assert kernel.nodes == spec.nodes, (nz, d, target, reach is None)
+                    covers += expected is not None
+                    refutations += expected is None
+                    if spec.nodes < 2:
+                        continue
+                    limit = spec.nodes // 2
+                    spec, kernel = SpendingBudget(limit), _Budget(limit)
+                    with pytest.raises(OracleBudgetExceeded) as spec_error:
+                        spec_cover_assignment(nz, d, target, spec, reach)
+                    with pytest.raises(OracleBudgetExceeded) as kernel_error:
+                        _cover_assignment(nz, d, target, kernel, reach)
+                    assert kernel.nodes == spec.nodes == limit + 1, (nz, d, target)
+                    assert kernel_error.value.args == spec_error.value.args
+                    cut += 1
+        assert covers and refutations and cut, (covers, refutations, cut)
 
 
 class TestValueSearch:

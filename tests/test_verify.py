@@ -17,8 +17,10 @@ from mmskit import (
     check_oni,
     check_reduction_validity,
     check_structural_lemmas,
+    mms,
     solve,
     to_delta_oni,
+    value,
 )
 from mmskit import oracle
 from mmskit.verify import _pair_bound_violations
@@ -100,6 +102,65 @@ class TestCheckAlphaMms:
             "agents": [{"mms": "4", "received": "3", "ok": True}],
             "pass": True,
         }
+
+
+# An allocation of each drawn instance: every good to an agent 1..n or, as 0,
+# to the pool.
+_PQ_ALLOCATIONS = _PQ_ROWS.flatmap(lambda rows: st.tuples(
+    st.just(rows), st.lists(st.integers(0, len(rows)), min_size=len(rows[0]), max_size=len(rows[0]))))
+
+
+def allocation(owners, n: int) -> Allocation:
+    bundles = [Bundle.of(g for g, k in enumerate(owners, 1) if k == i) for i in range(n + 1)]
+    return Allocation(bundles=tuple(bundles[1:]), unassigned=bundles[0])
+
+
+class TestIntegerVerdict:
+    # `check_alpha_mms` cross-multiplies numerators and denominators; each
+    # verdict must be that of the Fraction formula received >= alpha * share.
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_PQ_ALLOCATIONS, st.one_of(st.fractions(0, 2, max_denominator=50),
+                                      st.fractions(0, 2, max_denominator=10**30)))
+    def test_matches_the_fraction_formula(self, drawn, alpha):
+        rows, owners = drawn
+        inst = Instance.from_rows(rows)
+        alloc = allocation(owners, inst.n)
+        report = check_alpha_mms(inst, alloc, alpha)
+        for i, check in enumerate(report.agents, 1):
+            assert check.mms == mms(inst, i, inst.n).value
+            assert check.received == value(inst, i, alloc.bundles[i - 1])
+            assert check.ok == (check.received >= alpha * check.mms), (rows, owners, alpha, i)
+        assert report.passed == all(check.ok for check in report.agents)
+
+    def test_boundaries(self):
+        inst = Instance.from_rows([["1/3", "1/2", "1/6", "2/3", "1/4"], ["1/5", "1/5", "2/5", "1/10", "1/10"]])
+        alloc = Allocation(bundles=(Bundle.of([1, 5]), Bundle.of([2, 3, 4])))
+        share, received = mms(inst, 1, 2).value, value(inst, 1, alloc.bundles[0])
+        unit = Fraction(1, inst.int_rows[0][1])  # one unit of 1/L
+        assert (share, received, unit) == (Fraction(11, 12), Fraction(7, 12), Fraction(1, 12))
+
+        def verdict(alpha):
+            return check_alpha_mms(inst, alloc, alpha).agents[0].ok
+
+        # received exactly alpha * share passes; one unit of 1/L below it fails.
+        assert verdict(received / share)
+        assert not verdict((received + unit) / share)
+        # alphas with many-digit denominators, just below and just above.
+        tiny = Fraction(1, 10**40 + 7)
+        assert verdict(received / share - tiny)
+        assert not verdict(received / share + tiny)
+        assert verdict(Fraction(10**39, 10**39 + 1) * received / share)
+
+    def test_zero_share_passes_at_any_alpha(self):
+        # Agent 1 values fewer goods than there are agents: her share is 0,
+        # so even an empty bundle clears any alpha.
+        inst = make_instance([[5, 0, 0], [1, 1, 1]])
+        alloc = Allocation(bundles=(Bundle(), Bundle.of([1, 2, 3])))
+        for alpha in (ALPHA_MAX, Fraction(10**30, 7)):
+            report = check_alpha_mms(inst, alloc, alpha)
+            assert report.agents[0].mms == 0 and report.agents[0].received == 0
+            assert report.agents[0].ok
+            assert report.agents[1].ok == (3 >= alpha)
 
 
 class TestCheckOni:
